@@ -144,11 +144,12 @@ func NewTimeline() *Timeline { return obs.NewTimeline() }
 
 // RunProbed is Run with the time-resolved probe layer attached, sampling
 // every probe track at the given window (in cycles; 0 uses a 1-cycle
-// window). With audited set, the invariant-audit layer is armed as well —
-// the two observers use separate hooks and compose. Probes never
-// schedule simulator events, so the returned Result is identical to
-// Run's; the returned probe set is already flushed and ready for
-// Timeline.AddCell or Snapshot.
+// window). With audited set, the invariant-audit layer is armed as well;
+// the machine feeds both consumers through one fan-out in each layer's
+// single observer slot, so the tracks are the same with or without it.
+// Probes never schedule simulator events, so the returned Result is
+// identical to Run's; the returned probe set is already flushed and
+// ready for Timeline.AddCell or Snapshot.
 func RunProbed(cfg Config, workload, scheme string, window uint64, audited bool) (Result, *Probes, error) {
 	factory, err := schemes.ByName(scheme)
 	if err != nil {

@@ -1,8 +1,10 @@
 // Package audit is the simulator's opt-in invariant checker. A Checker
-// threads through the simulation stack via the hook points the substrate
-// packages expose (sim.Engine.SetStepHook, dram.DRAM.SetHook,
-// xbar.Crossbar.SetHook, protect.WrapAudited, and the gpu machine's token
-// calls) and verifies, while the simulation runs:
+// is one of the two consumers of the gpu machine's observer, which owns
+// each substrate layer's single observer slot (sim.Engine.SetStepHook,
+// dram.DRAM.SetHook, xbar.Crossbar.SetHook, the protect.WrapObserved
+// scheme decorator) and the machine's own token and MSHR call sites, and
+// fans every event out to the checker and to the probe tracks. The
+// Checker verifies, while the simulation runs:
 //
 //   - tick monotonicity: the event engine never steps backwards in time;
 //   - transaction conservation: every sector an SM requests is delivered
@@ -21,9 +23,10 @@
 //   - full drain: at end of simulation no tokens, controller reads, MSHR
 //     entries, queued DRAM requests, or undelivered engine events remain.
 //
-// The checker is deliberately not wired when auditing is off: every hook
-// is a nil field in the substrate, so the disabled cost is one branch per
-// event. A Checker serves exactly one single-threaded simulation.
+// The checker is deliberately not wired when auditing is off: with no
+// consumer attached every slot is a nil field in the substrate, so the
+// disabled cost is one branch per event. A Checker serves exactly one
+// single-threaded simulation.
 package audit
 
 import (
@@ -247,7 +250,8 @@ func (c *Checker) Delivered(now sim.Cycle, tok uint64, mask uint64) {
 	}
 }
 
-// ReadMissIssued implements protect.SchemeSink.
+// ReadMissIssued records a controller read (fed by the scheme decorator)
+// and returns the token that identifies it to ReadMissDone.
 func (c *Checker) ReadMissIssued(now sim.Cycle, lineAddr uint64, mask uint64, class mem.Class) uint64 {
 	if c == nil {
 		return 0
@@ -261,7 +265,7 @@ func (c *Checker) ReadMissIssued(now sim.Cycle, lineAddr uint64, mask uint64, cl
 	return c.nextCall
 }
 
-// ReadMissDone implements protect.SchemeSink.
+// ReadMissDone records a controller read's completion.
 func (c *Checker) ReadMissDone(at sim.Cycle, tok uint64) {
 	if c == nil {
 		return
@@ -278,7 +282,7 @@ func (c *Checker) ReadMissDone(at sim.Cycle, tok uint64) {
 	delete(c.calls, tok)
 }
 
-// WritebackIssued implements protect.SchemeSink.
+// WritebackIssued records a writeback handed to the controller.
 func (c *Checker) WritebackIssued(now sim.Cycle, lineAddr uint64, dirtyMask uint64) {
 	if c == nil {
 		return
@@ -288,7 +292,7 @@ func (c *Checker) WritebackIssued(now sim.Cycle, lineAddr uint64, dirtyMask uint
 	}
 }
 
-// DrainIssued implements protect.SchemeSink.
+// DrainIssued records the end-of-sim drain call.
 func (c *Checker) DrainIssued(sim.Cycle) {}
 
 // MSHRAlloc records a new L2 bank MSHR entry; live counts the bank's

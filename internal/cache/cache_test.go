@@ -271,63 +271,6 @@ func TestCacheInvariantsUnderRandomOps(t *testing.T) {
 	}
 }
 
-func TestMSHRMergeAndComplete(t *testing.T) {
-	m := NewMSHR[int](4, 4)
-	res, fetch := m.Allocate(0x100, 0b0001, 1)
-	if res != MSHRNew || fetch != 0b0001 {
-		t.Fatalf("first allocate: %v %#b", res, fetch)
-	}
-	// Same sector merges with no new fetch.
-	res, fetch = m.Allocate(0x100, 0b0001, 2)
-	if res != MSHRMerged || fetch != 0 {
-		t.Fatalf("same-sector merge: %v %#b", res, fetch)
-	}
-	// New sector merges and requests the extra fetch.
-	res, fetch = m.Allocate(0x100, 0b0010, 3)
-	if res != MSHRMerged || fetch != 0b0010 {
-		t.Fatalf("new-sector merge: %v %#b", res, fetch)
-	}
-	if m.Pending(0x100) != 0b0011 {
-		t.Fatalf("pending = %#b", m.Pending(0x100))
-	}
-	targets := m.Complete(0x100)
-	if len(targets) != 3 || targets[0] != 1 || targets[1] != 2 || targets[2] != 3 {
-		t.Fatalf("targets = %v", targets)
-	}
-	if m.InFlight() != 0 {
-		t.Fatal("entry not retired")
-	}
-	if m.Complete(0x100) != nil {
-		t.Fatal("completing absent entry must return nil")
-	}
-}
-
-func TestMSHRCapacityLimits(t *testing.T) {
-	m := NewMSHR[int](2, 2)
-	m.Allocate(0x100, 1, 0)
-	m.Allocate(0x200, 1, 0)
-	if res, _ := m.Allocate(0x300, 1, 0); res != MSHRFull {
-		t.Fatalf("entry overflow: %v", res)
-	}
-	if !m.Full() {
-		t.Fatal("Full() should report true")
-	}
-	// Target overflow on an existing entry.
-	m.Allocate(0x100, 1, 1)
-	if res, _ := m.Allocate(0x100, 1, 2); res != MSHRFull {
-		t.Fatalf("target overflow: %v", res)
-	}
-}
-
-func TestMSHRInvalidGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid MSHR geometry must panic")
-		}
-	}()
-	NewMSHR[int](0, 1)
-}
-
 func TestStringersAndAccessors(t *testing.T) {
 	if LRU.String() != "lru" || SRRIP.String() != "srrip" {
 		t.Fatal("policy strings")
@@ -344,22 +287,5 @@ func TestStringersAndAccessors(t *testing.T) {
 	c := New(testConfig())
 	if c.Config().Name != "t" {
 		t.Fatal("Config accessor")
-	}
-	if MSHRNew.String() != "new" || MSHRMerged.String() != "merged" || MSHRFull.String() != "full" {
-		t.Fatal("mshr result strings")
-	}
-	if MSHRResult(9).String() == "" {
-		t.Fatal("unknown mshr result must render")
-	}
-}
-
-func TestMSHRPendingMask(t *testing.T) {
-	m := NewMSHR[int](4, 4)
-	if m.Pending(0x100) != 0 {
-		t.Fatal("absent entry must report zero pending")
-	}
-	m.Allocate(0x100, 0b0110, 1)
-	if m.Pending(0x100) != 0b0110 {
-		t.Fatalf("pending = %#b", m.Pending(0x100))
 	}
 }

@@ -72,9 +72,10 @@ const DefaultProbeDepth = 512
 // are monotonically non-decreasing — the event engine runs in cycle
 // order) or when Flush is called.
 //
-// All methods are nil-safe: components hold *Series fields that stay nil
-// when probes are off, so the off cost is one predictable branch per
-// probe point — the same contract internal/audit's hooks follow.
+// All methods are nil-safe: the observer holds *Series fields that stay
+// nil when probes are off, so it can feed a track without checking
+// whether probes are attached — the same contract internal/audit's
+// Checker follows.
 //
 // Series is not safe for concurrent use; each simulation owns its Probes.
 type Series struct {
@@ -192,10 +193,11 @@ func (d SeriesData) Values() []float64 {
 }
 
 // Probes is a simulation's set of probe tracks, created once before the
-// run and handed to components via their SetProbes hooks. Registration
-// is guarded by a mutex (bench fans simulations out across goroutines,
-// and each simulation registers its series at construction time), but
-// Series.Add itself is unsynchronized — each engine is single-threaded.
+// run and handed to gpu.Machine.SetProbes, whose observer registers every
+// track and feeds it from the layers' hook slots. Registration is guarded
+// by a mutex (bench fans simulations out across goroutines, and each
+// simulation registers its series at construction time), but Series.Add
+// itself is unsynchronized — each engine is single-threaded.
 type Probes struct {
 	window uint64
 	depth  int

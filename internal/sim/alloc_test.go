@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"testing"
-
-	"cachecraft/internal/obs"
-)
+import "testing"
 
 // countHandler is a trivial pooled-event handler for alloc accounting.
 type countHandler struct{ n uint64 }
@@ -37,47 +33,6 @@ func TestPostStepZeroAllocs(t *testing.T) {
 	if h.n == 0 {
 		t.Fatal("handler never ran")
 	}
-}
-
-// TestDepthProbeZeroAllocs is the observability PR's alloc guard: the
-// engine hot path must stay allocation-free both with the depth probe
-// detached (the default — one nil check per Step) and with a probe
-// feeding a preallocated obs.Series (the -timeline path).
-func TestDepthProbeZeroAllocs(t *testing.T) {
-	run := func(e *Engine, h *countHandler) float64 {
-		for i := 0; i < 64; i++ {
-			e.Post(e.Now()+Cycle(i%7), h, 1, 0)
-		}
-		for e.Step() {
-		}
-		return testing.AllocsPerRun(1000, func() {
-			e.Post(e.Now()+3, h, 1, 0)
-			e.Post(e.Now()+1, h, 1, 0)
-			e.Step()
-			e.Step()
-		})
-	}
-
-	t.Run("off", func(t *testing.T) {
-		if allocs := run(NewEngine(), &countHandler{}); allocs != 0 {
-			t.Fatalf("probe-off Step allocated %.1f times per run, want 0", allocs)
-		}
-	})
-	t.Run("on", func(t *testing.T) {
-		e := NewEngine()
-		p := obs.NewProbesDepth(16, 32)
-		depth := p.Series("sim.queue_depth", obs.Mean)
-		e.SetDepthProbe(func(at Cycle, pending int) {
-			depth.Add(uint64(at), float64(pending))
-		})
-		if allocs := run(e, &countHandler{}); allocs != 0 {
-			t.Fatalf("probe-on Step allocated %.1f times per run, want 0", allocs)
-		}
-		p.Flush()
-		if len(p.Snapshot()) == 0 {
-			t.Fatal("depth probe never observed anything")
-		}
-	})
 }
 
 // TestAtReusesRecords checks the closure path also recycles its event
