@@ -71,21 +71,25 @@ func (c Config) Validate() error {
 
 const maxRRPV = 3 // 2-bit SRRIP
 
-type line struct {
-	tag    uint64
-	valid  bool
-	vmask  uint64 // per-sector valid bits
-	dmask  uint64 // per-sector dirty bits
-	stamp  uint64 // LRU timestamp
-	rrpv   uint8  // SRRIP re-reference prediction value
-	pinned bool
-}
-
 // Cache is a sectored set-associative tag store. It is not safe for
 // concurrent use; the simulator is single-threaded by design.
+//
+// The store is struct-of-arrays within each set: one block of words per
+// set holding Ways tags, then Ways LRU stamps, then Ways valid masks, then
+// Ways dirty masks (then, under SRRIP only, Ways rrpv values). A way is
+// named by the index of its tag word, and its other fields sit at fixed
+// offsets from it (see stamp, valid, dirty, rrpv), so a tag match or an
+// LRU victim scan reads one contiguous run of 8-byte words (128 B for 16
+// ways) and a fill touches one block. A tag word holds the line number
+// plus one, with 0 marking an invalid way, which folds the valid bit into
+// the tag compare. An invalid way holds no sector masks; its stamp and
+// rrpv are never read, because a fill takes an invalid way before any
+// replacement decision.
 type Cache struct {
 	cfg            Config
-	sets           [][]line
+	words          []uint64
+	stride         int // words per set block: 4*Ways, or 5*Ways under SRRIP
+	ways           int
 	setsMask       uint64
 	setBits        uint
 	sectorsPerLine int
@@ -144,13 +148,9 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	numSets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
-	sets := make([][]line, numSets)
-	backing := make([]line, numSets*cfg.Ways)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
-		for w := range sets[i] {
-			sets[i][w].rrpv = maxRRPV
-		}
+	stride := 4 * cfg.Ways
+	if cfg.Repl == SRRIP {
+		stride += cfg.Ways
 	}
 	setBits := uint(0)
 	for 1<<setBits < numSets {
@@ -161,7 +161,9 @@ func New(cfg Config) *Cache {
 	}
 	c := &Cache{
 		cfg:            cfg,
-		sets:           sets,
+		words:          make([]uint64, numSets*stride),
+		stride:         stride,
+		ways:           cfg.Ways,
 		setsMask:       uint64(numSets - 1),
 		setBits:        setBits,
 		sectorsPerLine: cfg.LineBytes / cfg.SectorBytes,
@@ -198,8 +200,9 @@ func (c *Cache) SectorIndex(addr uint64) int {
 func (c *Cache) SectorMask(addr uint64) uint64 { return 1 << c.SectorIndex(addr) }
 
 // setAndTag maps an address to its set index and tag. The tag is the full
-// line number (simulation spends no storage on tags, and it keeps the
-// mapping trivially invertible under set hashing).
+// line number plus one: simulation spends no storage on tags, the full
+// line number keeps the mapping trivially invertible under set hashing,
+// and the plus one leaves 0 to mark an invalid way.
 func (c *Cache) setAndTag(addr uint64) (set uint64, tag uint64) {
 	lineNum := addr / uint64(c.cfg.LineBytes)
 	idx := lineNum
@@ -208,13 +211,21 @@ func (c *Cache) setAndTag(addr uint64) (set uint64, tag uint64) {
 		idx ^= idx >> (2 * c.setBits)
 		idx ^= idx >> (4 * c.setBits)
 	}
-	return idx & c.setsMask, lineNum
+	return idx & c.setsMask, lineNum + 1
 }
 
+// Field offsets of way i (the index of its tag word).
+func (c *Cache) stamp(i int) *uint64 { return &c.words[i+c.ways] }
+func (c *Cache) valid(i int) *uint64 { return &c.words[i+2*c.ways] }
+func (c *Cache) dirty(i int) *uint64 { return &c.words[i+3*c.ways] }
+func (c *Cache) rrpv(i int) *uint64  { return &c.words[i+4*c.ways] }
+
+// findWay returns the way holding tag in set, or -1.
 func (c *Cache) findWay(set uint64, tag uint64) int {
-	for w := range c.sets[set] {
-		if c.sets[set][w].valid && c.sets[set][w].tag == tag {
-			return w
+	base := int(set) * c.stride
+	for w, t := range c.words[base : base+c.ways] {
+		if t == tag {
+			return base + w
 		}
 	}
 	return -1
@@ -228,7 +239,7 @@ func (c *Cache) Probe(addr uint64) Outcome {
 	if w < 0 {
 		return Miss
 	}
-	if c.sets[set][w].vmask&c.SectorMask(addr) == 0 {
+	if *c.valid(w)&c.SectorMask(addr) == 0 {
 		return SectorMiss
 	}
 	return Hit
@@ -247,15 +258,16 @@ func (c *Cache) Access(addr uint64, write bool) Outcome {
 		c.stMisses.Inc()
 		return Miss
 	}
-	ln := &c.sets[set][w]
-	if ln.vmask&c.SectorMask(addr) == 0 {
+	if *c.valid(w)&c.SectorMask(addr) == 0 {
 		c.stSectorMisses.Inc()
 		return SectorMiss
 	}
-	ln.stamp = c.clock
-	ln.rrpv = 0
+	*c.stamp(w) = c.clock
+	if c.cfg.Repl == SRRIP {
+		*c.rrpv(w) = 0
+	}
 	if write {
-		ln.dmask |= c.SectorMask(addr)
+		*c.dirty(w) |= c.SectorMask(addr)
 	}
 	c.stHits.Inc()
 	return Hit
@@ -263,9 +275,10 @@ func (c *Cache) Access(addr uint64, write bool) Outcome {
 
 // Fill inserts the given sectors of a line, allocating (and possibly
 // evicting) as needed. dirty sectors in dirtyMask are marked dirty. The
-// returned eviction is non-nil when a valid line with dirty sectors was
-// displaced. Filling sectors that are already present leaves their dirty
-// bits intact (a fill never cleans newer data).
+// returned eviction is non-nil whenever a valid line was displaced, clean
+// or dirty; its DirtyMask says what must be written back. Filling sectors
+// that are already present leaves their dirty bits intact (a fill never
+// cleans newer data).
 func (c *Cache) Fill(lineAddr uint64, sectorMask, dirtyMask uint64) *Eviction {
 	var ev Eviction
 	if c.FillInto(lineAddr, sectorMask, dirtyMask, &ev) {
@@ -283,93 +296,76 @@ func (c *Cache) FillInto(lineAddr uint64, sectorMask, dirtyMask uint64, ev *Evic
 	}
 	set, tag := c.setAndTag(lineAddr)
 	c.clock++
-	w := c.findWay(set, tag)
-	if w >= 0 {
-		ln := &c.sets[set][w]
-		newSectors := sectorMask &^ ln.vmask
-		ln.vmask |= sectorMask
-		ln.dmask |= dirtyMask & sectorMask
-		ln.stamp = c.clock
+	if w := c.findWay(set, tag); w >= 0 {
+		newSectors := sectorMask &^ *c.valid(w)
+		*c.valid(w) |= sectorMask
+		*c.dirty(w) |= dirtyMask & sectorMask
+		*c.stamp(w) = c.clock
 		if newSectors != 0 {
 			c.stSectorFills.Inc()
 		}
 		return false
 	}
-	victim := c.chooseVictim(set)
-	ln := &c.sets[set][victim]
+	w := c.chooseVictim(set)
 	evicted := false
-	if ln.valid {
+	if c.words[w] != 0 {
 		c.stEvictions.Inc()
 		evicted = true
 		*ev = Eviction{
-			LineAddr:  c.lineAddrOf(set, ln.tag),
-			ValidMask: ln.vmask,
-			DirtyMask: ln.dmask,
+			LineAddr:  c.lineAddrOf(c.words[w]),
+			ValidMask: *c.valid(w),
+			DirtyMask: *c.dirty(w),
 		}
-		if ln.dmask != 0 {
+		if *c.dirty(w) != 0 {
 			c.stDirtyEvictions.Inc()
 		}
 	}
-	*ln = line{
-		tag:   tag,
-		valid: true,
-		vmask: sectorMask,
-		dmask: dirtyMask & sectorMask,
-		stamp: c.clock,
-		rrpv:  maxRRPV - 1, // SRRIP long re-reference insertion
+	c.words[w] = tag
+	*c.valid(w) = sectorMask
+	*c.dirty(w) = dirtyMask & sectorMask
+	*c.stamp(w) = c.clock
+	if c.cfg.Repl == SRRIP {
+		*c.rrpv(w) = maxRRPV - 1 // SRRIP long re-reference insertion
 	}
 	c.stLineFills.Inc()
 	return evicted
 }
 
-func (c *Cache) lineAddrOf(_ uint64, tag uint64) uint64 {
-	return tag * uint64(c.cfg.LineBytes)
+func (c *Cache) lineAddrOf(tag uint64) uint64 {
+	return (tag - 1) * uint64(c.cfg.LineBytes)
 }
 
+// chooseVictim returns the way a fill into set replaces.
 func (c *Cache) chooseVictim(set uint64) int {
-	ways := c.sets[set]
+	base := int(set) * c.stride
 	// Prefer an invalid way.
-	for w := range ways {
-		if !ways[w].valid {
-			return w
+	for w, t := range c.words[base : base+c.ways] {
+		if t == 0 {
+			return base + w
 		}
 	}
 	switch c.cfg.Repl {
 	case SRRIP:
+		rrpv := c.words[base+4*c.ways : base+5*c.ways]
 		for {
-			for w := range ways {
-				if !ways[w].pinned && ways[w].rrpv >= maxRRPV {
-					return w
+			for w, r := range rrpv {
+				if r >= maxRRPV {
+					return base + w
 				}
 			}
-			aged := false
-			for w := range ways {
-				if !ways[w].pinned && ways[w].rrpv < maxRRPV {
-					ways[w].rrpv++
-					aged = true
-				}
-			}
-			if !aged {
-				// Everything pinned: fall back to way 0 to guarantee progress.
-				return 0
+			for w := range rrpv {
+				rrpv[w]++
 			}
 		}
 	default: // LRU
-		victim := -1
-		var oldest uint64
-		for w := range ways {
-			if ways[w].pinned {
-				continue
-			}
-			if victim < 0 || ways[w].stamp < oldest {
+		stamps := c.words[base+c.ways : base+2*c.ways]
+		victim := 0
+		for w, s := range stamps {
+			if s < stamps[victim] {
 				victim = w
-				oldest = ways[w].stamp
 			}
 		}
-		if victim < 0 {
-			victim = 0
-		}
-		return victim
+		return base + victim
 	}
 }
 
@@ -378,10 +374,10 @@ func (c *Cache) chooseVictim(set uint64) int {
 func (c *Cache) MarkDirty(addr uint64) {
 	set, tag := c.setAndTag(addr)
 	w := c.findWay(set, tag)
-	if w < 0 || c.sets[set][w].vmask&c.SectorMask(addr) == 0 {
+	if w < 0 || *c.valid(w)&c.SectorMask(addr) == 0 {
 		panic(fmt.Sprintf("cache %q: MarkDirty on absent sector %#x", c.cfg.Name, addr))
 	}
-	c.sets[set][w].dmask |= c.SectorMask(addr)
+	*c.dirty(w) |= c.SectorMask(addr)
 }
 
 // CleanSector clears the dirty bit for addr's sector if present (used when
@@ -389,7 +385,7 @@ func (c *Cache) MarkDirty(addr uint64) {
 func (c *Cache) CleanSector(addr uint64) {
 	set, tag := c.setAndTag(addr)
 	if w := c.findWay(set, tag); w >= 0 {
-		c.sets[set][w].dmask &^= c.SectorMask(addr)
+		*c.dirty(w) &^= c.SectorMask(addr)
 	}
 }
 
@@ -401,8 +397,8 @@ func (c *Cache) InvalidateLine(lineAddr uint64) uint64 {
 	if w < 0 {
 		return 0
 	}
-	d := c.sets[set][w].dmask
-	c.sets[set][w] = line{rrpv: maxRRPV}
+	d := *c.dirty(w)
+	c.words[w], *c.valid(w), *c.dirty(w) = 0, 0, 0
 	return d
 }
 
@@ -410,7 +406,7 @@ func (c *Cache) InvalidateLine(lineAddr uint64) uint64 {
 func (c *Cache) ValidMask(lineAddr uint64) uint64 {
 	set, tag := c.setAndTag(lineAddr)
 	if w := c.findWay(set, tag); w >= 0 {
-		return c.sets[set][w].vmask
+		return *c.valid(w)
 	}
 	return 0
 }
@@ -419,7 +415,7 @@ func (c *Cache) ValidMask(lineAddr uint64) uint64 {
 func (c *Cache) DirtyMask(lineAddr uint64) uint64 {
 	set, tag := c.setAndTag(lineAddr)
 	if w := c.findWay(set, tag); w >= 0 {
-		return c.sets[set][w].dmask
+		return *c.dirty(w)
 	}
 	return 0
 }
@@ -431,27 +427,28 @@ func (c *Cache) DirtyMask(lineAddr uint64) uint64 {
 // The invariant-audit layer calls it at end of simulation.
 func (c *Cache) CheckConsistency() error {
 	limit := uint64(1)<<c.sectorsPerLine - 1
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			ln := &c.sets[s][w]
-			if !ln.valid {
-				if ln.vmask != 0 || ln.dmask != 0 {
-					return fmt.Errorf("cache %q: invalid way set %d way %d carries masks v=%#x d=%#x",
-						c.cfg.Name, s, w, ln.vmask, ln.dmask)
-				}
-				continue
+	for i := range c.words {
+		if i%c.stride >= c.ways {
+			continue // not a tag word
+		}
+		tag, v, d := c.words[i], *c.valid(i), *c.dirty(i)
+		if tag == 0 {
+			if v != 0 || d != 0 {
+				return fmt.Errorf("cache %q: invalid way set %d way %d carries masks v=%#x d=%#x",
+					c.cfg.Name, i/c.stride, i%c.stride, v, d)
 			}
-			addr := c.lineAddrOf(uint64(s), ln.tag)
-			switch {
-			case ln.vmask == 0:
-				return fmt.Errorf("cache %q: valid line %#x has no valid sectors", c.cfg.Name, addr)
-			case ln.vmask&^limit != 0 || ln.dmask&^limit != 0:
-				return fmt.Errorf("cache %q: line %#x mask exceeds %d sectors (v=%#x d=%#x)",
-					c.cfg.Name, addr, c.sectorsPerLine, ln.vmask, ln.dmask)
-			case ln.dmask&^ln.vmask != 0:
-				return fmt.Errorf("cache %q: line %#x dirty sectors not valid (v=%#x d=%#x)",
-					c.cfg.Name, addr, ln.vmask, ln.dmask)
-			}
+			continue
+		}
+		addr := c.lineAddrOf(tag)
+		switch {
+		case v == 0:
+			return fmt.Errorf("cache %q: valid line %#x has no valid sectors", c.cfg.Name, addr)
+		case v&^limit != 0 || d&^limit != 0:
+			return fmt.Errorf("cache %q: line %#x mask exceeds %d sectors (v=%#x d=%#x)",
+				c.cfg.Name, addr, c.sectorsPerLine, v, d)
+		case d&^v != 0:
+			return fmt.Errorf("cache %q: line %#x dirty sectors not valid (v=%#x d=%#x)",
+				c.cfg.Name, addr, v, d)
 		}
 	}
 	return nil
@@ -459,12 +456,9 @@ func (c *Cache) CheckConsistency() error {
 
 // Walk visits every valid line (for drain/flush at end of simulation).
 func (c *Cache) Walk(visit func(lineAddr uint64, vmask, dmask uint64)) {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			ln := &c.sets[s][w]
-			if ln.valid {
-				visit(c.lineAddrOf(uint64(s), ln.tag), ln.vmask, ln.dmask)
-			}
+	for i := range c.words {
+		if i%c.stride < c.ways && c.words[i] != 0 {
+			visit(c.lineAddrOf(c.words[i]), *c.valid(i), *c.dirty(i))
 		}
 	}
 }

@@ -17,9 +17,14 @@ type GPU struct {
 	NumSMs         int
 	MaxOutstanding int // in-flight warp accesses per SM
 	L1             cache.Config
-	L1MSHRs        int
-	L1MSHRTargets  int
-	L1Latency      sim.Cycle
+	// L1MSHRs and L1MSHRTargets are not read by the model: an SM's L1
+	// miss-merge table is bounded only by MaxOutstanding times the sectors
+	// per access. They (and L2MSHRTargets) stay because store.Fingerprint
+	// hashes GPU, so removing them would change every fingerprint; nothing
+	// should be sized from them.
+	L1MSHRs       int
+	L1MSHRTargets int
+	L1Latency     sim.Cycle
 
 	// Interconnect: per-endpoint port bandwidth plus a shared bisection
 	// limit per direction.
@@ -32,7 +37,7 @@ type GPU struct {
 	L2            cache.Config // aggregate size; split evenly across banks
 	L2Banks       int
 	L2MSHRs       int // per bank
-	L2MSHRTargets int
+	L2MSHRTargets int // not read: an L2 MSHR entry takes any number of targets
 	L2Latency     sim.Cycle
 
 	// Memory and protection.

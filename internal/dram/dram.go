@@ -7,6 +7,7 @@ package dram
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"cachecraft/internal/mem"
@@ -45,6 +46,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("dram: sizes must be positive: %+v", c)
 	case c.ChannelInterleaveBytes <= 0:
 		return fmt.Errorf("dram: channel interleave must be positive")
+	case c.BanksPerChannel > 64:
+		return fmt.Errorf("dram: at most 64 banks per channel, got %d", c.BanksPerChannel)
 	case c.SchedulerWindow <= 0 || c.TCmd <= 0:
 		return fmt.Errorf("dram: scheduler window and command gap must be positive")
 	case c.TREFI > 0 && c.TRFC <= 0:
@@ -84,7 +87,6 @@ type pendingReq struct {
 // O(1) and in-window promotions are O(window)).
 type bank struct {
 	openRow int64 // -1 when closed
-	readyAt sim.Cycle
 	queue   []pendingReq
 	head    int
 }
@@ -113,9 +115,23 @@ func (b *bank) removeAt(i int) pendingReq {
 	return pr
 }
 
+// channel holds its banks plus the scheduler's per-channel summary, so a
+// pick reads two masks and one small array instead of the bank queues:
+//   - queued counts requests over all banks;
+//   - bit i of pend is set while bank i has queued work;
+//   - bit i of hit is set while bank i's FR-FCFS window (its first
+//     SchedulerWindow queued requests) holds a request to its open row.
+//     Submit sets it when a request lands in the window on the open row,
+//     service recomputes it over the serviced bank's window, and refresh
+//     clears it; hit is always a subset of pend;
+//   - ready[i] is bank i's ready cycle.
 type channel struct {
 	id          int
 	banks       []bank
+	ready       []sim.Cycle
+	queued      int
+	pend        uint64
+	hit         uint64
 	bus         *sim.Resource
 	rr          int // round-robin pointer over banks
 	nextRefresh sim.Cycle
@@ -200,6 +216,7 @@ func New(eng *sim.Engine, cfg Config) *DRAM {
 	for i := 0; i < cfg.Channels; i++ {
 		ch := &channel{id: i, bus: sim.NewResource(fmt.Sprintf("dram-ch%d", i)), nextRefresh: cfg.TREFI}
 		ch.banks = make([]bank, cfg.BanksPerChannel)
+		ch.ready = make([]sim.Cycle, cfg.BanksPerChannel)
 		for b := range ch.banks {
 			ch.banks[b].openRow = -1
 		}
@@ -230,7 +247,13 @@ func (d *DRAM) route(addr uint64) (ch, bk int, row int64) {
 func (d *DRAM) Submit(now sim.Cycle, req mem.Request) {
 	ch, bk, row := d.route(req.Addr)
 	c := d.chans[ch]
-	c.banks[bk].push(pendingReq{req: req, arrival: now, row: row})
+	b := &c.banks[bk]
+	b.push(pendingReq{req: req, arrival: now, row: row})
+	if row == b.openRow && b.pending() <= d.cfg.SchedulerWindow {
+		c.hit |= 1 << bk
+	}
+	c.queued++
+	c.pend |= 1 << bk
 	if d.hook != nil {
 		d.hook.Submitted(now, req, ch, bk, row)
 	}
@@ -283,9 +306,7 @@ func (h *armHandler) OnEvent(now sim.Cycle, a0, a1 uint64) {
 func (d *DRAM) QueueLen() int {
 	total := 0
 	for _, c := range d.chans {
-		for i := range c.banks {
-			total += c.banks[i].pending()
-		}
+		total += c.queued
 	}
 	return total
 }
@@ -297,25 +318,28 @@ func (d *DRAM) QueueLen() int {
 // bank's recovery.
 func (d *DRAM) service(c *channel, now sim.Cycle) {
 	d.maybeRefresh(c, now)
-	bk := d.pickBank(c, now)
+	bk, wake := c.pickBank(now)
 	if bk < 0 {
-		if wake, ok := d.earliestWork(c, now); ok {
+		if c.queued > 0 {
 			d.arm(c, wake)
 		}
 		return
 	}
 	b := &c.banks[bk]
 	idx := b.head
-	for i := b.head; i < len(b.queue) && i < b.head+d.cfg.SchedulerWindow; i++ {
-		if b.queue[i].row == b.openRow {
-			idx = i
-			break
+	if c.hit&(1<<bk) != 0 {
+		for b.queue[idx].row != b.openRow {
+			idx++
 		}
 	}
 	pr := b.removeAt(idx)
+	c.queued--
+	if b.pending() == 0 {
+		c.pend &^= 1 << bk
+	}
 	row := pr.row
 	if d.hook != nil {
-		d.hook.Serviced(now, pr.req, c.id, bk, row, b.openRow, b.readyAt)
+		d.hook.Serviced(now, pr.req, c.id, bk, row, b.openRow, c.ready[bk])
 	}
 
 	// Split bank occupancy from access latency: a row hit issues its CAS
@@ -336,13 +360,20 @@ func (d *DRAM) service(c *channel, now sim.Cycle) {
 		colIssued = now + d.cfg.TRP + d.cfg.TRCD
 	}
 	b.openRow = row
+	c.hit &^= 1 << bk
+	for i, end := b.head, min(len(b.queue), b.head+d.cfg.SchedulerWindow); i < end; i++ {
+		if b.queue[i].row == row {
+			c.hit |= 1 << bk
+			break
+		}
+	}
 
 	bursts := (pr.req.Bytes + 31) / 32
 	if bursts == 0 {
 		bursts = 1
 	}
 	busDur := d.cfg.TBurst * sim.Cycle(bursts)
-	b.readyAt = colIssued + busDur // next CAS may follow at tCCD (≈ burst)
+	c.ready[bk] = colIssued + busDur // next CAS may follow at tCCD (≈ burst)
 	busStart := c.bus.Claim(colIssued+d.cfg.TCAS, busDur)
 	finish := busStart + busDur
 
@@ -355,7 +386,7 @@ func (d *DRAM) service(c *channel, now sim.Cycle) {
 	// request's data phase — banks overlap their activations, which is
 	// what gives DRAM its bank-level parallelism.
 	c.nextCmd = now + d.cfg.TCmd
-	if _, ok := d.earliestWork(c, now); ok {
+	if c.queued > 0 {
 		d.arm(c, c.nextCmd)
 	}
 }
@@ -369,12 +400,12 @@ func (d *DRAM) maybeRefresh(c *channel, now sim.Cycle) {
 	for now >= c.nextRefresh {
 		end := c.nextRefresh + d.cfg.TRFC
 		for i := range c.banks {
-			b := &c.banks[i]
-			if b.readyAt < end {
-				b.readyAt = end
+			if c.ready[i] < end {
+				c.ready[i] = end
 			}
-			b.openRow = -1
+			c.banks[i].openRow = -1
 		}
+		c.hit = 0
 		c.nextRefresh += d.cfg.TREFI
 		d.stRefreshes.Inc()
 		if d.hook != nil {
@@ -385,70 +416,46 @@ func (d *DRAM) maybeRefresh(c *channel, now sim.Cycle) {
 
 // pickBank returns a ready bank with pending work, preferring (1) a ready
 // bank whose open row matches its queue window (a row hit) and (2)
-// round-robin order for fairness; -1 when every pending bank is busy.
-func (d *DRAM) pickBank(c *channel, now sim.Cycle) int {
-	n := len(c.banks)
-	fallback := -1
-	for off := 0; off < n; off++ {
-		bk := (c.rr + off) % n
-		b := &c.banks[bk]
-		if b.pending() == 0 || b.readyAt > now {
-			continue
-		}
-		// Does this bank's window contain a row hit?
-		hit := false
-		for i := b.head; i < len(b.queue) && i < b.head+d.cfg.SchedulerWindow; i++ {
-			if b.queue[i].row == b.openRow {
-				hit = true
-				break
-			}
-		}
-		if hit {
-			c.rr = (bk + 1) % n
-			return bk
-		}
-		if fallback < 0 {
-			fallback = bk
+// round-robin order for fairness. When every pending bank is busy it
+// returns -1 and the earliest cycle one becomes ready (meaningful only
+// while the channel has queued work).
+func (c *channel) pickBank(now sim.Cycle) (int, sim.Cycle) {
+	bk, wake := c.firstReady(c.hit, now)
+	if bk < 0 {
+		bk, wake = c.firstReady(c.pend, now)
+	}
+	if bk >= 0 {
+		if c.rr = bk + 1; c.rr == len(c.banks) {
+			c.rr = 0
 		}
 	}
-	if fallback >= 0 {
-		c.rr = (fallback + 1) % n
-	}
-	return fallback
+	return bk, wake
 }
 
-// earliestWork reports the earliest cycle at which any bank with pending
-// work could be serviced; ok is false when no work is queued.
-func (d *DRAM) earliestWork(c *channel, now sim.Cycle) (sim.Cycle, bool) {
-	earliest := sim.Cycle(0)
-	found := false
-	for i := range c.banks {
-		b := &c.banks[i]
-		if b.pending() == 0 {
-			continue
-		}
-		at := b.readyAt
-		if at < now {
-			at = now
-		}
-		if !found || at < earliest {
-			earliest = at
-			found = true
+// firstReady walks the banks in mask from the round-robin pointer,
+// wrapping once, and returns the first one ready at now; failing that, -1
+// and the earliest ready cycle among them.
+func (c *channel) firstReady(mask uint64, now sim.Cycle) (int, sim.Cycle) {
+	below := uint64(1)<<c.rr - 1
+	var wake sim.Cycle
+	for _, m := range [2]uint64{mask &^ below, mask & below} {
+		for ; m != 0; m &= m - 1 {
+			bk := bits.TrailingZeros64(m)
+			at := c.ready[bk]
+			if at <= now {
+				return bk, 0
+			}
+			if wake == 0 || at < wake {
+				wake = at
+			}
 		}
 	}
-	return earliest, found
+	return -1, wake
 }
 
 // Drain returns true when all channels have empty queues.
 func (d *DRAM) Drain() bool {
-	for _, c := range d.chans {
-		for i := range c.banks {
-			if c.banks[i].pending() > 0 {
-				return false
-			}
-		}
-	}
-	return true
+	return d.QueueLen() == 0
 }
 
 // BusUtilization reports per-channel data bus utilization over elapsed

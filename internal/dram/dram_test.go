@@ -33,6 +33,11 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero interleave accepted")
 	}
+	bad = DefaultConfig()
+	bad.BanksPerChannel = 65 // one bit per bank in the scheduler's masks
+	if err := bad.Validate(); err == nil {
+		t.Fatal("65 banks per channel accepted")
+	}
 }
 
 func run(eng *sim.Engine, d *DRAM) sim.Cycle {

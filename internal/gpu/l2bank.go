@@ -43,7 +43,7 @@ type L2Bank struct {
 	id    int
 	cache *cache.Cache
 
-	mshr    map[uint64]int32 // line address → entry slot
+	mshr    addrTable // line address → entry slot
 	entries []l2Entry
 	entFree []int32
 	ops     []l2Op
@@ -59,8 +59,9 @@ type L2Bank struct {
 	// predictor feedback; the scoreboard ages entries by the bank's total
 	// fill count — a reconstructed sector unused after reconHorizon
 	// subsequent fills counts as waste even if it still sits in the cache,
-	// because it has had ample opportunity to be referenced.
-	reconPending map[uint64]bool
+	// because it has had ample opportunity to be referenced. reconPending
+	// is a set: its values are unused.
+	reconPending addrTable
 	reconFIFO    []reconEntry
 	rfHead       int
 	fillTick     uint64
@@ -79,13 +80,7 @@ func newL2Bank(m *Machine, id int) *L2Bank {
 	cfg := m.cfg.L2
 	cfg.Name = "l2"
 	cfg.SizeBytes /= m.cfg.L2Banks
-	return &L2Bank{
-		m:            m,
-		id:           id,
-		cache:        cache.New(cfg),
-		mshr:         make(map[uint64]int32),
-		reconPending: make(map[uint64]bool),
-	}
+	return &L2Bank{m: m, id: id, cache: cache.New(cfg)}
 }
 
 func (b *L2Bank) allocEntry() int32 {
@@ -121,22 +116,23 @@ func (b *L2Bank) waitingCount() int { return len(b.waiting) - b.whead }
 // noteUse clears reconstruction-pending state on a referenced sector and
 // reports the use to the scheme.
 func (b *L2Bank) noteUse(addr uint64) {
-	if b.reconPending[addr] {
-		delete(b.reconPending, addr)
+	if b.reconPending.del(addr) {
 		b.m.reconFeedback(addr, true)
 	}
 }
 
 // noteEviction reports unused reconstructed sectors of an evicted line.
 func (b *L2Bank) noteEviction(lineAddr uint64, validMask uint64) {
+	if b.reconPending.len() == 0 {
+		return
+	}
 	spl := b.cache.SectorsPerLine()
 	for i := 0; i < spl; i++ {
 		if validMask&(1<<i) == 0 {
 			continue
 		}
 		sa := lineAddr + uint64(i*b.m.cfg.L2.SectorBytes)
-		if b.reconPending[sa] {
-			delete(b.reconPending, sa)
+		if b.reconPending.del(sa) {
 			b.m.reconFeedback(sa, false)
 		}
 	}
@@ -166,8 +162,7 @@ func (b *L2Bank) ageScoreboard() {
 	for b.rfHead < len(b.reconFIFO) && b.reconFIFO[b.rfHead].tick+reconHorizon < b.fillTick {
 		old := b.reconFIFO[b.rfHead]
 		b.rfHead++
-		if b.reconPending[old.addr] {
-			delete(b.reconPending, old.addr)
+		if b.reconPending.del(old.addr) {
 			b.m.reconFeedback(old.addr, false)
 		}
 	}
@@ -227,10 +222,10 @@ func (b *L2Bank) HandleStore(now sim.Cycle, lineAddr uint64, mask, fullMask uint
 
 // mshrFull reports whether a new line entry cannot be allocated.
 func (b *L2Bank) mshrFull(lineAddr uint64) bool {
-	if _, ok := b.mshr[lineAddr]; ok {
+	if _, ok := b.mshr.get(lineAddr); ok {
 		return false // merging into an existing entry is always allowed
 	}
-	return len(b.mshr) >= b.m.cfg.L2MSHRs
+	return b.mshr.len() >= b.m.cfg.L2MSHRs
 }
 
 // exec runs one bank op, parking it (credit-style backpressure toward the
@@ -252,7 +247,7 @@ func (b *L2Bank) exec(now sim.Cycle, oi int32) {
 
 // pump replays parked requests while entry space is available.
 func (b *L2Bank) pump(now sim.Cycle) {
-	for b.whead < len(b.waiting) && len(b.mshr) < b.m.cfg.L2MSHRs {
+	for b.whead < len(b.waiting) && b.mshr.len() < b.m.cfg.L2MSHRs {
 		oi := b.waiting[b.whead]
 		b.whead++
 		if b.whead == len(b.waiting) {
@@ -347,12 +342,12 @@ func (b *L2Bank) store(now sim.Cycle, op l2Op) {
 // enqueueMiss merges the target into the line's MSHR entry, asking the
 // controller for any sectors not already in flight.
 func (b *L2Bank) enqueueMiss(now sim.Cycle, lineAddr uint64, mask uint64, t l2Target) {
-	ei, ok := b.mshr[lineAddr]
+	ei, ok := b.mshr.get(lineAddr)
 	if !ok {
 		ei = b.allocEntry()
-		b.mshr[lineAddr] = ei
+		b.mshr.put(lineAddr, ei)
 		if b.m.ob != nil {
-			b.m.ob.MSHRAlloc(now, b.id, lineAddr, len(b.mshr))
+			b.m.ob.MSHRAlloc(now, b.id, lineAddr, b.mshr.len())
 		}
 	}
 	e := &b.entries[ei]
@@ -377,7 +372,7 @@ func (b *L2Bank) enqueueMiss(now sim.Cycle, lineAddr uint64, mask uint64, t l2Ta
 // onFill receives sectors from the controller, fills the cache, and
 // retires the entry when everything pending has arrived.
 func (b *L2Bank) onFill(now sim.Cycle, lineAddr uint64, mask uint64) {
-	ei, ok := b.mshr[lineAddr]
+	ei, ok := b.mshr.get(lineAddr)
 	if !ok {
 		panic("gpu: L2 fill with no MSHR entry")
 	}
@@ -389,7 +384,7 @@ func (b *L2Bank) onFill(now sim.Cycle, lineAddr uint64, mask uint64) {
 	if b.entries[ei].filled != b.entries[ei].pending {
 		return
 	}
-	delete(b.mshr, lineAddr)
+	b.mshr.del(lineAddr)
 	if b.m.ob != nil {
 		b.m.ob.MSHRRelease(now, b.id, lineAddr)
 	}
@@ -428,7 +423,7 @@ func (b *L2Bank) Present(addr uint64) bool { return b.cache.Probe(addr) == cache
 // Pending reports whether the sector is already being fetched (CacheSide).
 func (b *L2Bank) Pending(addr uint64) bool {
 	lineAddr := b.cache.LineAddr(addr)
-	ei, ok := b.mshr[lineAddr]
+	ei, ok := b.mshr.get(lineAddr)
 	return ok && b.entries[ei].pending&b.cache.SectorMask(addr) != 0
 }
 
@@ -455,7 +450,7 @@ func (b *L2Bank) InsertReconstructed(now sim.Cycle, addr uint64) {
 	if b.m.ob != nil {
 		b.m.ob.reconFill.Add(uint64(now), 1)
 	}
-	b.reconPending[addr] = true
+	b.reconPending.put(addr, 0)
 	b.reconFIFO = append(b.reconFIFO, reconEntry{addr: addr, tick: b.fillTick})
 }
 

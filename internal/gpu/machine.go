@@ -221,6 +221,14 @@ func (m *Machine) bankFor(addr uint64) *L2Bank {
 	return m.banks[m.bankIndexFor(addr)]
 }
 
+// Bank returns L2 bank i, for driving one bank through its HandleRead and
+// HandleStore API without SMs (line addresses route to bank lineNum mod
+// L2Banks); step Engine to deliver the responses.
+func (m *Machine) Bank(i int) *L2Bank { return m.banks[i] }
+
+// Engine returns the machine's event engine.
+func (m *Machine) Engine() *sim.Engine { return m.eng }
+
 // reconFeedback forwards reconstruction usage to an observing scheme.
 func (m *Machine) reconFeedback(addr uint64, used bool) {
 	if m.ob != nil {
@@ -392,7 +400,7 @@ func (m *Machine) Run() (Result, error) {
 	if c := m.Audit(); c != nil {
 		end := m.eng.Now()
 		for _, b := range m.banks {
-			c.BankDrained(end, b.id, len(b.mshr), b.waitingCount())
+			c.BankDrained(end, b.id, b.mshr.len(), b.waitingCount())
 			c.CacheViolation(end, b.cache.CheckConsistency())
 		}
 		c.FinishSim(end, m.outstanding, m.eng.Pending())

@@ -31,8 +31,8 @@ type SM struct {
 	wl trace.Workload
 
 	l1      *cache.Cache
-	l1mshr  map[uint64]int32 // sector address → waiter-chain head
-	pending int              // in-flight accesses
+	l1mshr  addrTable // sector address → waiter-chain head
+	pending int       // in-flight accesses
 
 	blocked        bool // a dependent access is outstanding
 	finished       bool
@@ -58,7 +58,6 @@ func newSM(id int, m *Machine, wl trace.Workload) *SM {
 		m:       m,
 		wl:      wl,
 		l1:      cache.New(cfg),
-		l1mshr:  make(map[uint64]int32),
 		waiters: make([]l1Waiter, 1), // slot 0 is the chain sentinel
 	}
 }
@@ -190,7 +189,7 @@ func (s *SM) issueLoadGroup(now sim.Cycle, ri int32, g lineGroup) {
 			continue
 		}
 		s.m.stL1Misses.Inc()
-		if head, ok := s.l1mshr[sa]; ok {
+		if head, ok := s.l1mshr.get(sa); ok {
 			// Merge with the in-flight fetch, appending at the chain tail
 			// so wake order stays arrival order.
 			tail := head
@@ -200,7 +199,7 @@ func (s *SM) issueLoadGroup(now sim.Cycle, ri int32, g lineGroup) {
 			s.waiters[tail].next = s.allocWaiter(ri)
 			continue
 		}
-		s.l1mshr[sa] = s.allocWaiter(ri)
+		s.l1mshr.put(sa, s.allocWaiter(ri))
 		sendMask |= 1 << i
 	}
 	if sendMask == 0 {
@@ -222,11 +221,11 @@ func (s *SM) onLoadResponse(now sim.Cycle, lineAddr uint64, mask uint64) {
 			continue
 		}
 		sa := lineAddr + uint64(i*s.m.cfg.L1.SectorBytes)
-		n, ok := s.l1mshr[sa]
+		n, ok := s.l1mshr.get(sa)
 		if !ok {
 			continue
 		}
-		delete(s.l1mshr, sa)
+		s.l1mshr.del(sa)
 		for n != 0 {
 			w := s.waiters[n]
 			s.freeWaiter(n)

@@ -220,6 +220,80 @@ func BenchmarkDRAMRandomAccess(b *testing.B) {
 	eng.Run(1 << 62)
 }
 
+// BenchmarkDRAMDeepQueue keeps about 2.5k requests outstanding, the depth
+// the irregular workload's random and spmv cells reach, so every
+// scheduling step sees long bank queues (BenchmarkDRAMRandomAccess drains
+// every 64 requests and never does). One op is one submit plus the events
+// that retire a request to make room for it.
+func BenchmarkDRAMDeepQueue(b *testing.B) {
+	const depth = 2560
+	eng := sim.NewEngine()
+	d := dram.New(eng, dram.DefaultConfig())
+	rng := rand.New(rand.NewSource(2))
+	outstanding := 0
+	done := func(sim.Cycle) { outstanding-- }
+	submit := func() {
+		addr := uint64(rng.Intn(1<<26)) &^ 31
+		d.Submit(eng.Now(), mem.Request{Addr: addr, Bytes: 32, Class: mem.Demand, Done: done})
+		outstanding++
+	}
+	for outstanding < depth {
+		submit()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for outstanding >= depth {
+			eng.Step()
+		}
+		submit()
+	}
+	b.StopTimer()
+	eng.Run(1 << 62)
+}
+
+// BenchmarkL2BankMissFill drives one default-config L2 bank with line
+// misses scattered over the footprint, 32 in flight: each op allocates an
+// MSHR entry, fetches through the unprotected controller and DRAM, fills
+// a full 16-way set (choosing an LRU victim) and retires the entry. The
+// bank is warmed first so every fill evicts.
+func BenchmarkL2BankMissFill(b *testing.B) {
+	const inFlight = 32
+	cfg := config.Default()
+	m, err := gpu.New(cfg, "random", protect.NewNone)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := m.Engine()
+	bank := m.Bank(0)
+	rng := rand.New(rand.NewSource(3))
+	lineBytes := uint64(cfg.L2.LineBytes)
+	lines := int(cfg.FootprintBytes / lineBytes / uint64(cfg.L2Banks))
+	outstanding := 0
+	respond := func(sim.Cycle, uint64) { outstanding-- }
+	read := func() {
+		line := uint64(rng.Intn(lines)) * uint64(cfg.L2Banks) * lineBytes // routes to bank 0
+		bank.HandleRead(eng.Now(), line, 0b1111, respond)
+		outstanding++
+	}
+	step := func() {
+		for outstanding >= inFlight {
+			eng.Step()
+		}
+		read()
+	}
+	for i := 0; i < cfg.L2.SizeBytes/cfg.L2Banks/cfg.L2.LineBytes*2; i++ {
+		step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.StopTimer()
+	eng.Run(1 << 62)
+}
+
 func BenchmarkCoalesce(b *testing.B) {
 	w, err := trace.Build("random", trace.DefaultParams(0, 4, 1))
 	if err != nil {

@@ -22,10 +22,11 @@ fi
 benchtime="${BENCHTIME:-1s}"
 out="${OUT:-BENCH_sim.json}"
 
-# The tracked set: event scheduling, codecs, cache, DRAM, coalescing, and
-# the end-to-end simulation rate. The Fig16 sweep benchmark is excluded —
+# The tracked set: event scheduling, codecs, cache, DRAM (shallow and deep
+# queues), the L2 bank miss path, coalescing, and the end-to-end
+# simulation rate. The Fig16 sweep benchmark is excluded —
 # it is an experiment, not a substrate microbenchmark.
-pattern='^(BenchmarkEngineSchedule|BenchmarkSECDED|BenchmarkRS|BenchmarkTaggedCheck|BenchmarkCache|BenchmarkDRAM|BenchmarkCoalesce|BenchmarkEndToEndSimulation)'
+pattern='^(BenchmarkEngineSchedule|BenchmarkSECDED|BenchmarkRS|BenchmarkTaggedCheck|BenchmarkCache|BenchmarkDRAM|BenchmarkL2Bank|BenchmarkCoalesce|BenchmarkEndToEndSimulation)'
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
