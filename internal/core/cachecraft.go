@@ -25,12 +25,13 @@ package core
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 
 	"cachecraft/internal/cache"
 	"cachecraft/internal/mem"
 	"cachecraft/internal/protect"
 	"cachecraft/internal/sim"
+	"cachecraft/internal/stats"
 )
 
 // Options configures CacheCraft. The zero value is not useful; start from
@@ -95,38 +96,66 @@ type CacheCraft struct {
 	env *protect.Env
 	opt Options
 
-	rc         *cache.Cache
-	pendingRed map[uint64]*redFetch
-
-	// reconInFlight tracks reconstruction fetches by sector address; a
+	rc *cache.Cache
+	// redFetches merges redundancy reads by tagged address.
+	redFetches protect.FetchTable
+	// reconFetches tracks reconstruction fetches by sector address; a
 	// demand miss arriving while its sector is already being reconstructed
-	// merges with the fetch instead of duplicating it.
-	reconInFlight map[uint64][]func(sim.Cycle)
+	// waits on the fetch instead of duplicating it.
+	reconFetches protect.FetchTable
 
 	pred       []uint8
 	sampleTick uint64
 
-	wbuf    map[uint64]*wbufEntry
-	wbufGen uint64
-}
+	// wbuf indexes the write buffer by tagged redundancy address into
+	// wbufSlots, a slab of at most WBufEntries live entries.
+	wbuf      mem.AddrTable
+	wbufSlots []wbufEntry
+	wbufFree  []int32
+	wbufGen   uint64
 
-type redFetch struct {
-	waiters []func(sim.Cycle)
+	st counters
 }
 
 type wbufEntry struct {
+	addr uint64 // tagged redundancy address
 	mask uint64 // granule sectors whose checks are known
-	gen  uint64 // generation for timeout validation
+	gen  uint64 // generation for timeout validation; 0 while free
+}
+
+// counters are the controller's pre-resolved stats handles.
+type counters struct {
+	redWBufFwd, redRCHits, redMerged, redReadsDRAM, redRCDirtyEvictions stats.Handle
+	reconUsed, reconWasted, reconSectors, reconMerged                   stats.Handle
+	redWBRCHits, redWBufOverflow, redWBufTimeout, redBlindWrites        stats.Handle
+	redRMW                                                              stats.Handle
+}
+
+func newCounters(s *stats.Counters) counters {
+	return counters{
+		redWBufFwd:          s.Handle("red_wbuf_fwd"),
+		redRCHits:           s.Handle("red_rc_hits"),
+		redMerged:           s.Handle("red_merged"),
+		redReadsDRAM:        s.Handle("red_reads_dram"),
+		redRCDirtyEvictions: s.Handle("red_rc_dirty_evictions"),
+		reconUsed:           s.Handle("reconstruct_used"),
+		reconWasted:         s.Handle("reconstruct_wasted"),
+		reconSectors:        s.Handle("reconstruct_sectors"),
+		reconMerged:         s.Handle("reconstruct_merged"),
+		redWBRCHits:         s.Handle("red_wb_rc_hits"),
+		redWBufOverflow:     s.Handle("red_wbuf_overflow"),
+		redWBufTimeout:      s.Handle("red_wbuf_timeout"),
+		redBlindWrites:      s.Handle("red_blind_writes"),
+		redRMW:              s.Handle("red_rmw"),
+	}
 }
 
 // New builds a CacheCraft controller.
 func New(env *protect.Env, opt Options) *CacheCraft {
 	c := &CacheCraft{
-		env:           env,
-		opt:           opt,
-		pendingRed:    make(map[uint64]*redFetch),
-		reconInFlight: make(map[uint64][]func(sim.Cycle)),
-		wbuf:          make(map[uint64]*wbufEntry),
+		env: env,
+		opt: opt,
+		st:  newCounters(env.Stats),
 	}
 	if opt.UseRC {
 		c.rc = cache.New(cache.Config{
@@ -172,50 +201,57 @@ func (c *CacheCraft) granuleSectorIndex(sa uint64) int {
 
 // --- Redundancy read path -------------------------------------------------
 
-// redReady invokes ready once the redundancy block covering lineAddr is
-// available, trying the write buffer, the RC, and DRAM in that order.
-// neededMask is the granule-sector mask the caller must verify (for write
-// buffer forwarding).
-func (c *CacheCraft) redReady(now sim.Cycle, lineAddr uint64, neededMask uint64, ready func(sim.Cycle)) {
+// redReady delivers an arrival at join once the redundancy block covering
+// lineAddr is available, trying the write buffer, the RC, and DRAM in that
+// order. neededMask is the granule-sector mask the caller must verify
+// (for write buffer forwarding).
+func (c *CacheCraft) redReady(now sim.Cycle, lineAddr uint64, neededMask uint64, join int32) {
 	env := c.env
 	tagged := c.taggedRed(lineAddr)
 
 	// Forward from the write buffer when it already holds the needed
 	// checks (they are newer than DRAM's).
 	if c.opt.WBuf {
-		if e, ok := c.wbuf[tagged]; ok && e.mask&neededMask == neededMask {
-			env.Stats.Inc("red_wbuf_fwd")
-			env.Eng.At(now, ready)
+		if i, ok := c.wbuf.Get(tagged); ok && c.wbufSlots[i].mask&neededMask == neededMask {
+			c.st.redWBufFwd.Inc()
+			env.ArriveAt(now, join)
 			return
 		}
 	}
 	if c.opt.UseRC {
 		if c.rc.Access(tagged, false) == cache.Hit {
-			env.Stats.Inc("red_rc_hits")
-			env.Eng.At(now+c.opt.RCLatency, ready)
+			c.st.redRCHits.Inc()
+			env.ArriveAt(now+c.opt.RCLatency, join)
 			return
 		}
 	}
-	if f, ok := c.pendingRed[tagged]; ok {
-		env.Stats.Inc("red_merged")
-		f.waiters = append(f.waiters, ready)
+	if f, ok := c.redFetches.Find(tagged); ok {
+		c.st.redMerged.Inc()
+		c.redFetches.Wait(f, join)
 		return
 	}
-	f := &redFetch{waiters: []func(sim.Cycle){ready}}
-	c.pendingRed[tagged] = f
-	env.Stats.Inc("red_reads_dram")
+	f := c.redFetches.Start(tagged, false)
+	c.redFetches.Wait(f, join)
+	c.st.redReadsDRAM.Inc()
 	env.DRAM.Submit(now, mem.Request{
 		Addr:  tagged &^ protect.RedTag,
 		Bytes: env.Map.Geometry().RedBlockBytes,
 		Class: mem.Redundancy,
-		Done: func(at sim.Cycle) {
-			delete(c.pendingRed, tagged)
-			c.insertRC(at, tagged, false)
-			for _, w := range f.waiters {
-				w(at)
-			}
-		},
+		Done:  (*redFetchDone)(c),
+		Arg:   uint64(f),
 	})
+}
+
+// redFetchDone fills a fetched redundancy block (fetch slot a0) into the
+// RC and releases the reads waiting on it.
+type redFetchDone CacheCraft
+
+func (h *redFetchDone) OnEvent(at sim.Cycle, a0, _ uint64) {
+	c := (*CacheCraft)(h)
+	f := int32(a0)
+	tagged, _ := c.redFetches.Take(f)
+	c.insertRC(at, tagged, false)
+	c.redFetches.Release(at, f, c.env)
 }
 
 // insertRC fills a redundancy block into the RC, writing back any dirty
@@ -228,8 +264,9 @@ func (c *CacheCraft) insertRC(now sim.Cycle, tagged uint64, dirty bool) {
 	if dirty {
 		dmask = 1
 	}
-	if ev := c.rc.Fill(tagged, 1, dmask); ev != nil && ev.DirtyMask != 0 {
-		c.env.Stats.Inc("red_rc_dirty_evictions")
+	var ev cache.Eviction
+	if c.rc.FillInto(tagged, 1, dmask, &ev) && ev.DirtyMask != 0 {
+		c.st.redRCDirtyEvictions.Inc()
 		c.env.DRAM.Submit(now, mem.Request{
 			Addr:  ev.LineAddr &^ protect.RedTag,
 			Write: true,
@@ -281,9 +318,9 @@ func (c *CacheCraft) shouldProbe() bool {
 // a reconstructed sector was referenced before eviction.
 func (c *CacheCraft) ReconstructedUse(addr uint64, used bool) {
 	if used {
-		c.env.Stats.Inc("reconstruct_used")
+		c.st.reconUsed.Inc()
 	} else {
-		c.env.Stats.Inc("reconstruct_wasted")
+		c.st.reconWasted.Inc()
 	}
 	if !c.opt.Predictor {
 		return
@@ -329,38 +366,45 @@ func (c *CacheCraft) reconstruct(now sim.Cycle, lineAddr uint64, demandMask uint
 		if env.L2.Present(sa) || env.L2.Pending(sa) {
 			continue
 		}
-		if _, ok := c.reconInFlight[sa]; ok {
+		if _, ok := c.reconFetches.Find(sa); ok {
 			continue
 		}
-		env.Stats.Inc("reconstruct_sectors")
-		c.reconInFlight[sa] = nil
+		c.st.reconSectors.Inc()
+		f := c.reconFetches.Start(sa, false)
 		env.DRAM.Submit(now, mem.Request{
 			Addr:  env.Map.DataPhys(sa),
 			Bytes: geo.SectorBytes,
 			Class: mem.Reconstruct,
-			Done: func(at sim.Cycle) {
-				waiters := c.reconInFlight[sa]
-				delete(c.reconInFlight, sa)
-				if len(waiters) > 0 {
-					// A demand miss merged with this fetch. Traffic-wise
-					// this is neutral (the demand would have fetched the
-					// sector anyway), so it does NOT train the predictor —
-					// only genuine later-use is evidence that prefetching
-					// the granule was worth extra bandwidth.
-					env.Stats.Inc("reconstruct_merged")
-					env.L2.Insert(at, sa, false)
-					for _, w := range waiters {
-						w(at)
-					}
-					return
-				}
-				env.L2.InsertReconstructed(at, sa)
-			},
+			Done:  (*reconDone)(c),
+			Arg:   uint64(f),
 		})
 		if probe {
 			return
 		}
 	}
+}
+
+// reconDone inserts a reconstructed sector (fetch slot a0) into the L2.
+type reconDone CacheCraft
+
+func (h *reconDone) OnEvent(at sim.Cycle, a0, _ uint64) {
+	c := (*CacheCraft)(h)
+	env := c.env
+	f := int32(a0)
+	merged := c.reconFetches.Waiting(f)
+	sa, _ := c.reconFetches.Take(f)
+	if merged {
+		// A demand miss merged with this fetch. Traffic-wise this is
+		// neutral (the demand would have fetched the sector anyway), so it
+		// does NOT train the predictor — only genuine later-use is
+		// evidence that prefetching the granule was worth extra bandwidth.
+		c.st.reconMerged.Inc()
+		env.L2.Insert(at, sa, false)
+		c.reconFetches.Release(at, f, env)
+		return
+	}
+	c.reconFetches.Release(at, f, env)
+	env.L2.InsertReconstructed(at, sa)
 }
 
 // --- Scheme interface -----------------------------------------------------
@@ -379,30 +423,18 @@ func (c *CacheCraft) ReadMiss(now sim.Cycle, lineAddr uint64, mask uint64, class
 			neededMask |= 1 << c.granuleSectorIndex(lineAddr+uint64(s*geo.SectorBytes))
 		}
 	}
-	finish := func(at sim.Cycle) { env.FinishDecode(at, lineAddr, done) }
-	remaining := bits.OnesCount64(mask) + 1
-	join := func(at sim.Cycle) {
-		remaining--
-		if remaining == 0 {
-			finish(at)
-		}
-	}
+	join := env.DecodeJoin(now, bits.OnesCount64(mask)+1, lineAddr, done)
 	for s := 0; s < spl; s++ {
 		if mask&(1<<s) == 0 {
 			continue
 		}
 		sa := lineAddr + uint64(s*geo.SectorBytes)
-		if waiters, ok := c.reconInFlight[sa]; ok {
+		if f, ok := c.reconFetches.Find(sa); ok {
 			// The sector is already on its way as a reconstruction; merge.
-			c.reconInFlight[sa] = append(waiters, join)
+			c.reconFetches.Wait(f, join)
 			continue
 		}
-		env.DRAM.Submit(now, mem.Request{
-			Addr:  env.Map.DataPhys(sa),
-			Bytes: geo.SectorBytes,
-			Class: class,
-			Done:  join,
-		})
+		env.Read(now, env.Map.DataPhys(sa), geo.SectorBytes, class, join)
 	}
 	c.redReady(now, lineAddr, neededMask, join)
 	if class == mem.Demand && c.opt.Reconstruct {
@@ -464,31 +496,25 @@ func (c *CacheCraft) redUpdate(now sim.Cycle, lineAddr uint64, writtenMask uint6
 
 	// A cached copy absorbs the update in place.
 	if c.opt.UseRC && c.rc.Access(tagged, true) == cache.Hit {
-		env.Stats.Inc("red_wb_rc_hits")
+		c.st.redWBRCHits.Inc()
 		return
 	}
 	if c.opt.WBuf {
-		e, ok := c.wbuf[tagged]
+		i, ok := c.wbuf.Get(tagged)
 		if !ok {
-			if len(c.wbuf) >= c.wbufEntriesMax() {
+			if c.wbuf.Len() >= c.wbufEntriesMax() {
 				c.flushOldest(now)
 			}
 			c.wbufGen++
-			e = &wbufEntry{gen: c.wbufGen}
-			c.wbuf[tagged] = e
-			gen := e.gen
-			env.Eng.At(now+c.wbufTimeout(), func(at sim.Cycle) {
-				if cur, ok := c.wbuf[tagged]; ok && cur.gen == gen {
-					env.Stats.Inc("red_wbuf_timeout")
-					c.flushEntry(at, tagged, cur)
-				}
-			})
+			i = c.allocWBuf(tagged, c.wbufGen)
+			env.Eng.Post(now+c.wbufTimeout(), (*wbufTimeout)(c), tagged, c.wbufGen)
 		}
+		e := &c.wbufSlots[i]
 		e.mask |= writtenMask
 		if e.mask == fullMask {
 			// Every check byte of the block is known: write it blind.
-			delete(c.wbuf, tagged)
-			env.Stats.Inc("red_blind_writes")
+			c.freeWBuf(i)
+			c.st.redBlindWrites.Inc()
 			env.DRAM.Submit(now, mem.Request{
 				Addr:  tagged &^ protect.RedTag,
 				Write: true,
@@ -500,32 +526,61 @@ func (c *CacheCraft) redUpdate(now sim.Cycle, lineAddr uint64, writtenMask uint6
 	}
 	if c.opt.UseRC {
 		// Allocate into the RC via a fetch, then merge there.
-		env.Stats.Inc("red_rmw")
+		c.st.redRMW.Inc()
 		env.DRAM.Submit(now, mem.Request{
 			Addr:  tagged &^ protect.RedTag,
 			Bytes: geo.RedBlockBytes,
 			Class: mem.RMW,
-			Done: func(at sim.Cycle) {
-				c.insertRC(at, tagged, true)
-			},
+			Done:  (*rcAllocDone)(c),
+			Arg:   tagged,
 		})
 		return
 	}
 	// No RC, no write buffer: naive read-modify-write.
-	env.Stats.Inc("red_rmw")
-	env.DRAM.Submit(now, mem.Request{
-		Addr:  tagged &^ protect.RedTag,
-		Bytes: geo.RedBlockBytes,
-		Class: mem.RMW,
-		Done: func(at sim.Cycle) {
-			env.DRAM.Submit(at+env.DecodeLat, mem.Request{
-				Addr:  tagged &^ protect.RedTag,
-				Write: true,
-				Bytes: geo.RedBlockBytes,
-				Class: mem.Redundancy,
-			})
-		},
-	})
+	c.st.redRMW.Inc()
+	env.RedundancyRMW(now, tagged&^protect.RedTag)
+}
+
+// rcAllocDone fills the block (tagged address a0) that a writeback's RC
+// allocate fetched, dirty: the writeback's new checks merge into it.
+type rcAllocDone CacheCraft
+
+func (h *rcAllocDone) OnEvent(at sim.Cycle, a0, _ uint64) {
+	(*CacheCraft)(h).insertRC(at, a0, true)
+}
+
+// wbufTimeout flushes write-buffer entry a0 (its tagged address) if it
+// still holds generation a1 when its timeout expires.
+type wbufTimeout CacheCraft
+
+func (h *wbufTimeout) OnEvent(at sim.Cycle, a0, a1 uint64) {
+	c := (*CacheCraft)(h)
+	if i, ok := c.wbuf.Get(a0); ok && c.wbufSlots[i].gen == a1 {
+		c.st.redWBufTimeout.Inc()
+		c.flushEntry(at, i)
+	}
+}
+
+// allocWBuf takes a write-buffer slot for tagged at generation gen.
+func (c *CacheCraft) allocWBuf(tagged, gen uint64) int32 {
+	var i int32
+	if k := len(c.wbufFree); k > 0 {
+		i = c.wbufFree[k-1]
+		c.wbufFree = c.wbufFree[:k-1]
+	} else {
+		i = int32(len(c.wbufSlots))
+		c.wbufSlots = append(c.wbufSlots, wbufEntry{})
+	}
+	c.wbufSlots[i] = wbufEntry{addr: tagged, gen: gen}
+	c.wbuf.Put(tagged, i)
+	return i
+}
+
+// freeWBuf drops write-buffer entry i.
+func (c *CacheCraft) freeWBuf(i int32) {
+	c.wbuf.Del(c.wbufSlots[i].addr)
+	c.wbufSlots[i] = wbufEntry{}
+	c.wbufFree = append(c.wbufFree, i)
 }
 
 func (c *CacheCraft) wbufEntriesMax() int {
@@ -544,39 +599,25 @@ func (c *CacheCraft) wbufTimeout() sim.Cycle {
 
 // flushOldest evicts the lowest-generation write-buffer entry.
 func (c *CacheCraft) flushOldest(now sim.Cycle) {
-	var oldestAddr uint64
-	var oldest *wbufEntry
-	for a, e := range c.wbuf {
-		if oldest == nil || e.gen < oldest.gen {
-			oldest, oldestAddr = e, a
+	oldest := int32(-1)
+	for i, e := range c.wbufSlots {
+		if e.gen != 0 && (oldest < 0 || e.gen < c.wbufSlots[oldest].gen) {
+			oldest = int32(i)
 		}
 	}
-	if oldest != nil {
-		c.env.Stats.Inc("red_wbuf_overflow")
-		c.flushEntry(now, oldestAddr, oldest)
+	if oldest >= 0 {
+		c.st.redWBufOverflow.Inc()
+		c.flushEntry(now, oldest)
 	}
 }
 
-// flushEntry retires a partially-coalesced entry: the unknown check bytes
+// flushEntry retires partially-coalesced entry i: the unknown check bytes
 // must be read back (read-modify-write) before the block can be written.
-func (c *CacheCraft) flushEntry(now sim.Cycle, tagged uint64, e *wbufEntry) {
-	delete(c.wbuf, tagged)
-	env := c.env
-	geo := env.Map.Geometry()
-	env.Stats.Inc("red_rmw")
-	env.DRAM.Submit(now, mem.Request{
-		Addr:  tagged &^ protect.RedTag,
-		Bytes: geo.RedBlockBytes,
-		Class: mem.RMW,
-		Done: func(at sim.Cycle) {
-			env.DRAM.Submit(at+env.DecodeLat, mem.Request{
-				Addr:  tagged &^ protect.RedTag,
-				Write: true,
-				Bytes: geo.RedBlockBytes,
-				Class: mem.Redundancy,
-			})
-		},
-	})
+func (c *CacheCraft) flushEntry(now sim.Cycle, i int32) {
+	tagged := c.wbufSlots[i].addr
+	c.freeWBuf(i)
+	c.st.redRMW.Inc()
+	c.env.RedundancyRMW(now, tagged&^protect.RedTag)
 }
 
 // NeedsRMWFetch is true under ECC.
@@ -584,16 +625,19 @@ func (c *CacheCraft) NeedsRMWFetch() bool { return true }
 
 // Drain flushes the write buffer and writes back dirty RC lines.
 func (c *CacheCraft) Drain(now sim.Cycle) {
-	// Flush in address order, not map order: iteration order would vary
-	// run to run, reordering the drain's DRAM requests and making row-hit
-	// counts and latency histograms nondeterministic.
-	addrs := make([]uint64, 0, len(c.wbuf))
-	for tagged := range c.wbuf {
-		addrs = append(addrs, tagged)
+	// Flush in address order, not slot order: slot order depends on the
+	// history of frees, and the drain's DRAM request order decides its
+	// row-hit counts and latency histogram.
+	addrs := make([]uint64, 0, c.wbuf.Len())
+	for _, e := range c.wbufSlots {
+		if e.gen != 0 {
+			addrs = append(addrs, e.addr)
+		}
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	slices.Sort(addrs)
 	for _, tagged := range addrs {
-		c.flushEntry(now, tagged, c.wbuf[tagged])
+		i, _ := c.wbuf.Get(tagged)
+		c.flushEntry(now, i)
 	}
 	if c.rc != nil {
 		geo := c.env.Map.Geometry()

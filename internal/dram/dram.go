@@ -241,8 +241,8 @@ func (d *DRAM) route(addr uint64) (ch, bk int, row int64) {
 	return ch, bk, row
 }
 
-// Submit enqueues a request. The request's Done callback fires at
-// completion time. Reads and writes are scheduled identically (write
+// Submit enqueues a request. The request's Done handler is posted for its
+// completion cycle. Reads and writes are scheduled identically (write
 // latency matters because protection read-modify-writes serialize on it).
 func (d *DRAM) Submit(now sim.Cycle, req mem.Request) {
 	ch, bk, row := d.route(req.Addr)
@@ -379,7 +379,7 @@ func (d *DRAM) service(c *channel, now sim.Cycle) {
 
 	d.LatHist.Observe(uint64(finish - pr.arrival))
 	if done := pr.req.Done; done != nil {
-		d.eng.At(finish, done)
+		d.eng.Post(finish, done, pr.req.Arg, 0)
 	}
 
 	// The next command issues after the command gap, independent of this

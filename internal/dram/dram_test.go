@@ -7,6 +7,12 @@ import (
 	"cachecraft/internal/sim"
 )
 
+// handlerFunc adapts a closure to sim.Handler for the tests' request
+// completions and ad hoc events.
+type handlerFunc func(now sim.Cycle)
+
+func (f handlerFunc) OnEvent(now sim.Cycle, _, _ uint64) { f(now) }
+
 func testConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Channels = 2
@@ -49,7 +55,7 @@ func TestSingleReadLatency(t *testing.T) {
 	d := New(eng, testConfig())
 	var doneAt sim.Cycle
 	d.Submit(0, mem.Request{Addr: 0, Bytes: 32, Class: mem.Demand,
-		Done: func(now sim.Cycle) { doneAt = now }})
+		Done: handlerFunc(func(now sim.Cycle) { doneAt = now })})
 	run(eng, d)
 	// Cold bank: tRCD + tCAS + one burst.
 	want := testConfig().TRCD + testConfig().TCAS + testConfig().TBurst
@@ -69,7 +75,7 @@ func TestRowHitFasterThanConflict(t *testing.T) {
 	// Same row (sequential sectors) → second access is a row hit.
 	d.Submit(0, mem.Request{Addr: 0, Bytes: 32})
 	d.Submit(0, mem.Request{Addr: 32, Bytes: 32,
-		Done: func(now sim.Cycle) { hitDone = now }})
+		Done: handlerFunc(func(now sim.Cycle) { hitDone = now })})
 	run(eng, d)
 
 	eng2 := sim.NewEngine()
@@ -80,7 +86,7 @@ func TestRowHitFasterThanConflict(t *testing.T) {
 	conflictAddr := uint64(cfg.RowBytes) * uint64(cfg.BanksPerChannel) * uint64(cfg.Channels)
 	d2.Submit(0, mem.Request{Addr: 0, Bytes: 32})
 	d2.Submit(0, mem.Request{Addr: conflictAddr, Bytes: 32,
-		Done: func(now sim.Cycle) { confDone = now }})
+		Done: handlerFunc(func(now sim.Cycle) { confDone = now })})
 	run(eng2, d2)
 
 	if d.Stats.Get("row_hits") != 1 {
@@ -121,7 +127,7 @@ func TestBankParallelismBeatsSerialBank(t *testing.T) {
 	var lastA sim.Cycle
 	for i := 0; i < 4; i++ {
 		a.Submit(0, mem.Request{Addr: uint64(i) * bankStride, Bytes: 32,
-			Done: func(now sim.Cycle) { lastA = now }})
+			Done: handlerFunc(func(now sim.Cycle) { lastA = now })})
 	}
 	run(engA, a)
 
@@ -131,7 +137,7 @@ func TestBankParallelismBeatsSerialBank(t *testing.T) {
 	conflictStride := bankStride * uint64(cfg.BanksPerChannel)
 	for i := 0; i < 4; i++ {
 		b.Submit(0, mem.Request{Addr: uint64(i) * conflictStride, Bytes: 32,
-			Done: func(now sim.Cycle) { lastB = now }})
+			Done: handlerFunc(func(now sim.Cycle) { lastB = now })})
 	}
 	run(engB, b)
 
@@ -146,9 +152,9 @@ func TestFRFCFSPrefersOpenRow(t *testing.T) {
 	d := New(eng, cfg)
 	var orderDone []uint64
 	mk := func(addr uint64) mem.Request {
-		return mem.Request{Addr: addr, Bytes: 32, Done: func(sim.Cycle) {
+		return mem.Request{Addr: addr, Bytes: 32, Done: handlerFunc(func(sim.Cycle) {
 			orderDone = append(orderDone, addr)
-		}}
+		})}
 	}
 	conflictAddr := uint64(cfg.RowBytes) * uint64(cfg.BanksPerChannel) * uint64(cfg.Channels)
 	// First opens row 0. Then a conflicting row arrives, then a row-0 hit.
@@ -187,11 +193,11 @@ func TestLargeBurstOccupiesBusLonger(t *testing.T) {
 	eng := sim.NewEngine()
 	d := New(eng, cfg)
 	var small, large sim.Cycle
-	d.Submit(0, mem.Request{Addr: 0, Bytes: 32, Done: func(n sim.Cycle) { small = n }})
+	d.Submit(0, mem.Request{Addr: 0, Bytes: 32, Done: handlerFunc(func(n sim.Cycle) { small = n })})
 	run(eng, d)
 	eng2 := sim.NewEngine()
 	d2 := New(eng2, cfg)
-	d2.Submit(0, mem.Request{Addr: 0, Bytes: 128, Done: func(n sim.Cycle) { large = n }})
+	d2.Submit(0, mem.Request{Addr: 0, Bytes: 128, Done: handlerFunc(func(n sim.Cycle) { large = n })})
 	run(eng2, d2)
 	if large != small+3*cfg.TBurst {
 		t.Fatalf("128B done at %d, 32B at %d: want 3 extra bursts", large, small)
@@ -303,8 +309,8 @@ func TestCommandPacing(t *testing.T) {
 	d := New(eng, cfg)
 	bankStride := uint64(cfg.RowBytes) * uint64(cfg.Channels)
 	var first, second sim.Cycle
-	d.Submit(0, mem.Request{Addr: 0, Bytes: 32, Done: func(at sim.Cycle) { first = at }})
-	d.Submit(0, mem.Request{Addr: bankStride, Bytes: 32, Done: func(at sim.Cycle) { second = at }})
+	d.Submit(0, mem.Request{Addr: 0, Bytes: 32, Done: handlerFunc(func(at sim.Cycle) { first = at })})
+	d.Submit(0, mem.Request{Addr: bankStride, Bytes: 32, Done: handlerFunc(func(at sim.Cycle) { second = at })})
 	eng.Run(1 << 20)
 	if second < first+cfg.TCmd {
 		t.Fatalf("second done %d, first %d: command gap not enforced", second, first)

@@ -21,7 +21,7 @@ func TestRowHitStreamSaturatesBus(t *testing.T) {
 		// the same row via the same channel's next stripes.
 		addr := uint64(i%8)*32 + uint64(i/8)*uint64(cfg.ChannelInterleaveBytes)*uint64(cfg.Channels)
 		d.Submit(0, mem.Request{Addr: addr, Bytes: 32,
-			Done: func(now sim.Cycle) { last = now }})
+			Done: handlerFunc(func(now sim.Cycle) { last = now })})
 	}
 	eng.Run(1 << 30)
 	// Ideal: n bursts at TBurst each plus initial activate+CAS. Allow 2x
@@ -51,7 +51,7 @@ func TestBusyBankDoesNotBlockChannel(t *testing.T) {
 	bank1 := uint64(cfg.RowBytes) * uint64(cfg.Channels)
 	var doneAt sim.Cycle
 	d.Submit(0, mem.Request{Addr: bank1, Bytes: 32,
-		Done: func(now sim.Cycle) { doneAt = now }})
+		Done: handlerFunc(func(now sim.Cycle) { doneAt = now })})
 	eng.Run(1 << 30)
 	// The bank-1 access should finish in roughly one cold access time, not
 	// behind 32 conflicts.
@@ -71,9 +71,9 @@ func TestRoundRobinFairness(t *testing.T) {
 	var done0, done1 int
 	for i := 0; i < 32; i++ {
 		d.Submit(0, mem.Request{Addr: uint64(i%8) * 32, Bytes: 32,
-			Done: func(sim.Cycle) { done0++ }})
+			Done: handlerFunc(func(sim.Cycle) { done0++ })})
 		d.Submit(0, mem.Request{Addr: bankStride + uint64(i%8)*32, Bytes: 32,
-			Done: func(sim.Cycle) { done1++ }})
+			Done: handlerFunc(func(sim.Cycle) { done1++ })})
 	}
 	// Run only partway: both banks must have progressed.
 	eng.Run(200)
@@ -94,7 +94,7 @@ func TestBankQueueCompaction(t *testing.T) {
 	completed := 0
 	for i := 0; i < 3000; i++ {
 		d.Submit(0, mem.Request{Addr: uint64(i%8) * 32, Bytes: 32,
-			Done: func(sim.Cycle) { completed++ }})
+			Done: handlerFunc(func(sim.Cycle) { completed++ })})
 	}
 	eng.Run(1 << 30)
 	if completed != 3000 {
@@ -115,9 +115,9 @@ func TestFRFCFSWindowPromotesRowHitWithinBank(t *testing.T) {
 	conflictStride := uint64(cfg.RowBytes) * uint64(cfg.BanksPerChannel) * uint64(cfg.Channels)
 	var order []string
 	mk := func(name string, addr uint64) mem.Request {
-		return mem.Request{Addr: addr, Bytes: 32, Done: func(sim.Cycle) {
+		return mem.Request{Addr: addr, Bytes: 32, Done: handlerFunc(func(sim.Cycle) {
 			order = append(order, name)
-		}}
+		})}
 	}
 	d.Submit(0, mk("open", 0))                  // opens row 0
 	d.Submit(0, mk("conflict", conflictStride)) // same bank, other row
@@ -141,10 +141,10 @@ func TestRefreshStallsChannel(t *testing.T) {
 	d := New(eng, cfg)
 	var doneAt sim.Cycle
 	// Submit just after the first refresh boundary.
-	eng.At(501, func(now sim.Cycle) {
+	eng.Post(501, handlerFunc(func(now sim.Cycle) {
 		d.Submit(now, mem.Request{Addr: 0, Bytes: 32,
-			Done: func(at sim.Cycle) { doneAt = at }})
-	})
+			Done: handlerFunc(func(at sim.Cycle) { doneAt = at })})
+	}), 0, 0)
 	eng.Run(1 << 20)
 	// Refresh at 500 blocks until 800; then the cold access follows.
 	min := sim.Cycle(800)
@@ -167,9 +167,9 @@ func TestRefreshClosesRows(t *testing.T) {
 	d.Submit(0, mem.Request{Addr: 0, Bytes: 32})
 	eng.Run(1 << 20)
 	// Re-access the same row after a refresh boundary.
-	eng.At(1200, func(now sim.Cycle) {
+	eng.Post(1200, handlerFunc(func(now sim.Cycle) {
 		d.Submit(now, mem.Request{Addr: 64, Bytes: 32})
-	})
+	}), 0, 0)
 	eng.Run(1 << 20)
 	if d.Stats.Get("row_hits") != 0 {
 		t.Fatalf("row hit across refresh: %d", d.Stats.Get("row_hits"))

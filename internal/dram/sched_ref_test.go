@@ -140,7 +140,7 @@ func (d *refDRAM) service(c *refChannel, now sim.Cycle) {
 	b.readyAt = colIssued + busDur
 	finish := c.bus.Claim(colIssued+d.cfg.TCAS, busDur) + busDur
 	if done := pr.req.Done; done != nil {
-		d.eng.At(finish, done)
+		d.eng.Post(finish, done, pr.req.Arg, 0)
 	}
 	c.nextCmd = now + d.cfg.TCmd
 	if _, ok := d.earliestWork(c, now); ok {
@@ -278,16 +278,16 @@ func testSchedulerAgainstReference(t *testing.T, cfg Config, seed int64) {
 	outstanding, maxOutstanding := 0, 0
 	for i, s := range subs {
 		i, s := i, s
-		eng.At(s.at, func(now sim.Cycle) {
+		eng.Post(s.at, handlerFunc(func(now sim.Cycle) {
 			outstanding++
 			maxOutstanding = max(maxOutstanding, outstanding)
 			d.Submit(now, mem.Request{Addr: s.addr, Bytes: s.bytes, Write: s.write,
-				Done: func(at sim.Cycle) { newDone[i] = at; outstanding-- }})
-		})
-		refEng.At(s.at, func(now sim.Cycle) {
+				Done: handlerFunc(func(at sim.Cycle) { newDone[i] = at; outstanding-- })})
+		}), 0, 0)
+		refEng.Post(s.at, handlerFunc(func(now sim.Cycle) {
 			ref.Submit(now, mem.Request{Addr: s.addr, Bytes: s.bytes, Write: s.write,
-				Done: func(at sim.Cycle) { refDone[i] = at }})
-		})
+				Done: handlerFunc(func(at sim.Cycle) { refDone[i] = at })})
+		}), 0, 0)
 	}
 	eng.Run(1 << 40)
 	refEng.Run(1 << 40)

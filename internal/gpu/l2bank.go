@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"cachecraft/internal/cache"
+	"cachecraft/internal/mem"
 	"cachecraft/internal/protect"
 	"cachecraft/internal/sim"
 )
@@ -43,11 +44,13 @@ type L2Bank struct {
 	id    int
 	cache *cache.Cache
 
-	mshr    addrTable // line address → entry slot
-	entries []l2Entry
-	entFree []int32
-	ops     []l2Op
-	opFree  []int32
+	mshr     mem.AddrTable // line address → entry slot
+	entries  []l2Entry
+	entFree  []int32
+	ops      []l2Op
+	opFree   []int32
+	fills    []fillSlot
+	fillFree []int32
 
 	// waiting parks op slots that arrived while the MSHR file was full;
 	// whead is the consumed prefix, compacted once it dominates the slice
@@ -61,10 +64,20 @@ type L2Bank struct {
 	// subsequent fills counts as waste even if it still sits in the cache,
 	// because it has had ample opportunity to be referenced. reconPending
 	// is a set: its values are unused.
-	reconPending addrTable
+	reconPending mem.AddrTable
 	reconFIFO    []reconEntry
 	rfHead       int
 	fillTick     uint64
+}
+
+// fillSlot is one controller read in flight: the sectors the bank asked
+// for and the completion it handed to Scheme.ReadMiss. Slots are pooled;
+// each slot's done is bound once, when the slot is created, so a miss
+// allocates no closure.
+type fillSlot struct {
+	lineAddr uint64
+	mask     uint64
+	done     func(sim.Cycle)
 }
 
 type reconEntry struct {
@@ -110,20 +123,44 @@ func (b *L2Bank) allocOp() int32 {
 
 func (b *L2Bank) freeOp(oi int32) { b.opFree = append(b.opFree, oi) }
 
+// allocFill takes a fill slot for a controller read of mask and returns
+// its completion.
+func (b *L2Bank) allocFill(lineAddr, mask uint64) func(sim.Cycle) {
+	var fi int32
+	if n := len(b.fillFree); n > 0 {
+		fi = b.fillFree[n-1]
+		b.fillFree = b.fillFree[:n-1]
+	} else {
+		fi = int32(len(b.fills))
+		b.fills = append(b.fills, fillSlot{done: func(at sim.Cycle) { b.fillDone(at, fi) }})
+	}
+	f := &b.fills[fi]
+	f.lineAddr, f.mask = lineAddr, mask
+	return f.done
+}
+
+// fillDone frees fill slot fi, then delivers its sectors: onFill can
+// issue new misses, which may take the slot again.
+func (b *L2Bank) fillDone(now sim.Cycle, fi int32) {
+	f := b.fills[fi]
+	b.fillFree = append(b.fillFree, fi)
+	b.onFill(now, f.lineAddr, f.mask)
+}
+
 // waitingCount reports how many requests sit parked behind the MSHR file.
 func (b *L2Bank) waitingCount() int { return len(b.waiting) - b.whead }
 
 // noteUse clears reconstruction-pending state on a referenced sector and
 // reports the use to the scheme.
 func (b *L2Bank) noteUse(addr uint64) {
-	if b.reconPending.del(addr) {
+	if b.reconPending.Del(addr) {
 		b.m.reconFeedback(addr, true)
 	}
 }
 
 // noteEviction reports unused reconstructed sectors of an evicted line.
 func (b *L2Bank) noteEviction(lineAddr uint64, validMask uint64) {
-	if b.reconPending.len() == 0 {
+	if b.reconPending.Len() == 0 {
 		return
 	}
 	spl := b.cache.SectorsPerLine()
@@ -132,7 +169,7 @@ func (b *L2Bank) noteEviction(lineAddr uint64, validMask uint64) {
 			continue
 		}
 		sa := lineAddr + uint64(i*b.m.cfg.L2.SectorBytes)
-		if b.reconPending.del(sa) {
+		if b.reconPending.Del(sa) {
 			b.m.reconFeedback(sa, false)
 		}
 	}
@@ -162,7 +199,7 @@ func (b *L2Bank) ageScoreboard() {
 	for b.rfHead < len(b.reconFIFO) && b.reconFIFO[b.rfHead].tick+reconHorizon < b.fillTick {
 		old := b.reconFIFO[b.rfHead]
 		b.rfHead++
-		if b.reconPending.del(old.addr) {
+		if b.reconPending.Del(old.addr) {
 			b.m.reconFeedback(old.addr, false)
 		}
 	}
@@ -222,10 +259,10 @@ func (b *L2Bank) HandleStore(now sim.Cycle, lineAddr uint64, mask, fullMask uint
 
 // mshrFull reports whether a new line entry cannot be allocated.
 func (b *L2Bank) mshrFull(lineAddr uint64) bool {
-	if _, ok := b.mshr.get(lineAddr); ok {
+	if _, ok := b.mshr.Get(lineAddr); ok {
 		return false // merging into an existing entry is always allowed
 	}
-	return b.mshr.len() >= b.m.cfg.L2MSHRs
+	return b.mshr.Len() >= b.m.cfg.L2MSHRs
 }
 
 // exec runs one bank op, parking it (credit-style backpressure toward the
@@ -247,7 +284,7 @@ func (b *L2Bank) exec(now sim.Cycle, oi int32) {
 
 // pump replays parked requests while entry space is available.
 func (b *L2Bank) pump(now sim.Cycle) {
-	for b.whead < len(b.waiting) && b.mshr.len() < b.m.cfg.L2MSHRs {
+	for b.whead < len(b.waiting) && b.mshr.Len() < b.m.cfg.L2MSHRs {
 		oi := b.waiting[b.whead]
 		b.whead++
 		if b.whead == len(b.waiting) {
@@ -342,12 +379,12 @@ func (b *L2Bank) store(now sim.Cycle, op l2Op) {
 // enqueueMiss merges the target into the line's MSHR entry, asking the
 // controller for any sectors not already in flight.
 func (b *L2Bank) enqueueMiss(now sim.Cycle, lineAddr uint64, mask uint64, t l2Target) {
-	ei, ok := b.mshr.get(lineAddr)
+	ei, ok := b.mshr.Get(lineAddr)
 	if !ok {
 		ei = b.allocEntry()
-		b.mshr.put(lineAddr, ei)
+		b.mshr.Put(lineAddr, ei)
 		if b.m.ob != nil {
-			b.m.ob.MSHRAlloc(now, b.id, lineAddr, b.mshr.len())
+			b.m.ob.MSHRAlloc(now, b.id, lineAddr, b.mshr.Len())
 		}
 	}
 	e := &b.entries[ei]
@@ -364,15 +401,13 @@ func (b *L2Bank) enqueueMiss(now sim.Cycle, lineAddr uint64, mask uint64, t l2Ta
 	if t.write {
 		class = memClassRMW
 	}
-	b.m.scheme.ReadMiss(now, lineAddr, fetch, class, func(at sim.Cycle) {
-		b.onFill(at, lineAddr, fetch)
-	})
+	b.m.scheme.ReadMiss(now, lineAddr, fetch, class, b.allocFill(lineAddr, fetch))
 }
 
 // onFill receives sectors from the controller, fills the cache, and
 // retires the entry when everything pending has arrived.
 func (b *L2Bank) onFill(now sim.Cycle, lineAddr uint64, mask uint64) {
-	ei, ok := b.mshr.get(lineAddr)
+	ei, ok := b.mshr.Get(lineAddr)
 	if !ok {
 		panic("gpu: L2 fill with no MSHR entry")
 	}
@@ -384,7 +419,7 @@ func (b *L2Bank) onFill(now sim.Cycle, lineAddr uint64, mask uint64) {
 	if b.entries[ei].filled != b.entries[ei].pending {
 		return
 	}
-	b.mshr.del(lineAddr)
+	b.mshr.Del(lineAddr)
 	if b.m.ob != nil {
 		b.m.ob.MSHRRelease(now, b.id, lineAddr)
 	}
@@ -423,7 +458,7 @@ func (b *L2Bank) Present(addr uint64) bool { return b.cache.Probe(addr) == cache
 // Pending reports whether the sector is already being fetched (CacheSide).
 func (b *L2Bank) Pending(addr uint64) bool {
 	lineAddr := b.cache.LineAddr(addr)
-	ei, ok := b.mshr.get(lineAddr)
+	ei, ok := b.mshr.Get(lineAddr)
 	return ok && b.entries[ei].pending&b.cache.SectorMask(addr) != 0
 }
 
@@ -450,7 +485,7 @@ func (b *L2Bank) InsertReconstructed(now sim.Cycle, addr uint64) {
 	if b.m.ob != nil {
 		b.m.ob.reconFill.Add(uint64(now), 1)
 	}
-	b.reconPending.put(addr, 0)
+	b.reconPending.Put(addr, 0)
 	b.reconFIFO = append(b.reconFIFO, reconEntry{addr: addr, tick: b.fillTick})
 }
 

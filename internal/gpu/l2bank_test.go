@@ -162,7 +162,7 @@ func TestReconScoreboardAgesOutAsWaste(t *testing.T) {
 	if m.envStats.Get("reconstruct_wasted") != 1 {
 		t.Fatalf("wasted = %d, want 1 (aged out)", m.envStats.Get("reconstruct_wasted"))
 	}
-	if _, ok := b.reconPending.get(64); ok {
+	if _, ok := b.reconPending.Get(64); ok {
 		t.Fatal("aged entry still pending")
 	}
 }
@@ -210,6 +210,53 @@ func TestDrainLeavesNoDirtyState(t *testing.T) {
 		b.cache.Walk(func(lineAddr uint64, _, dmask uint64) {
 			if dmask != 0 {
 				t.Fatalf("dirty line %#x survived drain", lineAddr)
+			}
+		})
+	}
+}
+
+// TestBankMissFillZeroAllocs pins the bank's miss path: once its fill
+// slots, MSHR entries and the controller's pools are warm, line misses
+// through the controller and DRAM back to a fill (evicting, with
+// CacheCraft's reconstruction and write-buffer traffic) allocate nothing.
+func TestBankMissFillZeroAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		scheme protect.Factory
+	}{
+		{"none", protect.NewNone},
+		{"ecc-cache", protect.NewECCCache},
+		{"cachecraft", core.NewFactory(core.DefaultOptions())},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := buildMachine(t, tc.scheme)
+			b := m.banks[0]
+			stride := uint64(m.cfg.L2.LineBytes) * uint64(m.cfg.L2Banks) // routes to bank 0
+			lines := int(m.cfg.FootprintBytes / stride)
+			responded := 0
+			respond := func(sim.Cycle, uint64) { responded++ }
+			i := 0
+			run := func() {
+				for k := 0; k < 8; k++ {
+					line := uint64(i*7919%lines) * stride
+					if i%4 == 0 {
+						b.HandleStore(m.eng.Now(), line, 0b0011, 0b0001, respond)
+					} else {
+						b.HandleRead(m.eng.Now(), line, 0b1111, respond)
+					}
+					i++
+				}
+				for m.eng.Step() {
+				}
+			}
+			for k := 0; k < 4*lines/8; k++ {
+				run()
+			}
+			if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+				t.Fatalf("steady-state miss→fill: %.1f allocs/run, want 0", allocs)
+			}
+			if responded < 8*200 {
+				t.Fatalf("only %d responses", responded)
 			}
 		})
 	}

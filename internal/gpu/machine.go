@@ -242,7 +242,7 @@ func (m *Machine) reconFeedback(addr uint64, used bool) {
 // SetProbes attaches the time-resolved probe layer: the machine's
 // observer registers every track in p and feeds it from the layers' hook
 // slots and its own call sites. Must be called before Run. Probes never
-// schedule engine events (see protect.Env.FinishDecode for why that
+// schedule engine events (see protect.Env.DecodeJoin for why that
 // would perturb same-cycle ordering), so attaching them cannot change
 // simulated timing or results — only observe them. Composes with
 // EnableAudit in either order: both consumers share one fan-out per
@@ -400,7 +400,7 @@ func (m *Machine) Run() (Result, error) {
 	if c := m.Audit(); c != nil {
 		end := m.eng.Now()
 		for _, b := range m.banks {
-			c.BankDrained(end, b.id, b.mshr.len(), b.waitingCount())
+			c.BankDrained(end, b.id, b.mshr.Len(), b.waitingCount())
 			c.CacheViolation(end, b.cache.CheckConsistency())
 		}
 		c.FinishSim(end, m.outstanding, m.eng.Pending())

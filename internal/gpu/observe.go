@@ -146,7 +146,7 @@ func (o *observer) MSHRAlloc(now sim.Cycle, bank int, lineAddr uint64, live int)
 // dropping the entry, so the occupancy sample counts the entries left.
 func (o *observer) MSHRRelease(now sim.Cycle, bank int, lineAddr uint64) {
 	o.Checker.MSHRRelease(now, bank, lineAddr)
-	o.mshr.Add(uint64(now), float64(o.m.banks[bank].mshr.len()))
+	o.mshr.Add(uint64(now), float64(o.m.banks[bank].mshr.Len()))
 }
 
 // l2Access records one L2 tag lookup. The tag store is clockless, so the

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"cachecraft/internal/cache"
+	"cachecraft/internal/mem"
 	"cachecraft/internal/sim"
 	"cachecraft/internal/trace"
 )
@@ -31,8 +32,8 @@ type SM struct {
 	wl trace.Workload
 
 	l1      *cache.Cache
-	l1mshr  addrTable // sector address → waiter-chain head
-	pending int       // in-flight accesses
+	l1mshr  mem.AddrTable // sector address → waiter-chain head
+	pending int           // in-flight accesses
 
 	blocked        bool // a dependent access is outstanding
 	finished       bool
@@ -189,7 +190,7 @@ func (s *SM) issueLoadGroup(now sim.Cycle, ri int32, g lineGroup) {
 			continue
 		}
 		s.m.stL1Misses.Inc()
-		if head, ok := s.l1mshr.get(sa); ok {
+		if head, ok := s.l1mshr.Get(sa); ok {
 			// Merge with the in-flight fetch, appending at the chain tail
 			// so wake order stays arrival order.
 			tail := head
@@ -199,7 +200,7 @@ func (s *SM) issueLoadGroup(now sim.Cycle, ri int32, g lineGroup) {
 			s.waiters[tail].next = s.allocWaiter(ri)
 			continue
 		}
-		s.l1mshr.put(sa, s.allocWaiter(ri))
+		s.l1mshr.Put(sa, s.allocWaiter(ri))
 		sendMask |= 1 << i
 	}
 	if sendMask == 0 {
@@ -221,11 +222,11 @@ func (s *SM) onLoadResponse(now sim.Cycle, lineAddr uint64, mask uint64) {
 			continue
 		}
 		sa := lineAddr + uint64(i*s.m.cfg.L1.SectorBytes)
-		n, ok := s.l1mshr.get(sa)
+		n, ok := s.l1mshr.Get(sa)
 		if !ok {
 			continue
 		}
-		s.l1mshr.del(sa)
+		s.l1mshr.Del(sa)
 		for n != 0 {
 			w := s.waiters[n]
 			s.freeWaiter(n)

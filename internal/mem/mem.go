@@ -51,15 +51,19 @@ func Classes() []Class {
 }
 
 // Request is one DRAM access. Addr is a physical byte address; Bytes is the
-// transfer size (a sector or redundancy block). Done, if non-nil, runs when
-// the access completes (reads deliver data then; writes complete when
-// accepted by the bank).
+// transfer size (a sector or redundancy block). Done, if non-nil, is posted
+// to the engine for the cycle the access completes (reads deliver data
+// then; writes complete when accepted by the bank) and runs as
+// Done.OnEvent(now, Arg, 0). Callers keep their completion state in their
+// own pooled tables and pass its index in Arg, so a request carries no
+// closure and submitting one allocates nothing.
 type Request struct {
 	Addr  uint64
 	Write bool
 	Bytes int
 	Class Class
-	Done  func(now sim.Cycle)
+	Done  sim.Handler
+	Arg   uint64
 }
 
 // String renders the request for debugging.

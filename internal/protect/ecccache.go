@@ -3,6 +3,7 @@ package protect
 import (
 	"cachecraft/internal/mem"
 	"cachecraft/internal/sim"
+	"cachecraft/internal/stats"
 )
 
 // eccCache is the production-style baseline: redundancy blocks are cached
@@ -11,46 +12,58 @@ import (
 // with demand data — and redundancy writebacks are coalesced in the L2 the
 // same way data writebacks are.
 type eccCache struct {
-	env     *Env
-	pending map[uint64]*redFetch // outstanding redundancy fetches by tagged address
-}
+	env *Env
+	// pending holds the outstanding redundancy fetches by tagged address;
+	// a fetch's flag marks it dirty (some merged request was a
+	// write-allocate), so its block fills the L2 dirty.
+	pending FetchTable
 
-type redFetch struct {
-	waiters []func(sim.Cycle)
-	dirty   bool
+	stL2Hits        stats.Handle
+	stMerged        stats.Handle
+	stReadsDRAM     stats.Handle
+	stRedWritebacks stats.Handle
 }
 
 // NewECCCache builds the L2-redundancy-caching baseline.
 func NewECCCache(env *Env) Scheme {
-	return &eccCache{env: env, pending: make(map[uint64]*redFetch)}
+	return &eccCache{
+		env:             env,
+		stL2Hits:        env.Stats.Handle("red_l2_hits"),
+		stMerged:        env.Stats.Handle("red_merged"),
+		stReadsDRAM:     env.Stats.Handle("red_reads_dram"),
+		stRedWritebacks: env.Stats.Handle("red_writebacks"),
+	}
 }
 
 // Name identifies the scheme.
 func (s *eccCache) Name() string { return "ecc-cache" }
 
-// redReady arranges for ready to run as soon as the redundancy block
-// covering lineAddr is available: immediately on an L2 hit, or when the
-// (possibly already outstanding) DRAM fetch returns.
-func (s *eccCache) redReady(now sim.Cycle, lineAddr uint64, markDirty bool, ready func(sim.Cycle)) {
+// redReady delivers an arrival at join as soon as the redundancy block
+// covering lineAddr is available: from an event at now on an L2 hit, or
+// when the (possibly already outstanding) DRAM fetch returns. A writeback
+// passes noJoin; its L2 hit still posts the (no-op) arrival event.
+func (s *eccCache) redReady(now sim.Cycle, lineAddr uint64, markDirty bool, join int32) {
 	env := s.env
 	tagged := RedTag | env.Map.RedundancyAddr(lineAddr)
 	if env.L2.Present(tagged) {
-		env.Stats.Inc("red_l2_hits")
+		s.stL2Hits.Inc()
 		if markDirty {
 			env.L2.MarkDirty(tagged)
 		}
-		env.Eng.At(now, ready)
+		env.ArriveAt(now, join)
 		return
 	}
-	if f, ok := s.pending[tagged]; ok {
-		env.Stats.Inc("red_merged")
-		f.dirty = f.dirty || markDirty
-		f.waiters = append(f.waiters, ready)
+	if f, ok := s.pending.Find(tagged); ok {
+		s.stMerged.Inc()
+		if markDirty {
+			s.pending.SetFlag(f)
+		}
+		s.pending.Wait(f, join)
 		return
 	}
-	f := &redFetch{waiters: []func(sim.Cycle){ready}, dirty: markDirty}
-	s.pending[tagged] = f
-	env.Stats.Inc("red_reads_dram")
+	f := s.pending.Start(tagged, markDirty)
+	s.pending.Wait(f, join)
+	s.stReadsDRAM.Inc()
 	class := mem.Redundancy
 	if markDirty {
 		class = mem.RMW // a write-allocate fetch exists only to merge new checks
@@ -59,14 +72,21 @@ func (s *eccCache) redReady(now sim.Cycle, lineAddr uint64, markDirty bool, read
 		Addr:  tagged &^ RedTag,
 		Bytes: env.Map.Geometry().RedBlockBytes,
 		Class: class,
-		Done: func(at sim.Cycle) {
-			delete(s.pending, tagged)
-			env.L2.Insert(at, tagged, f.dirty)
-			for _, w := range f.waiters {
-				w(at)
-			}
-		},
+		Done:  (*eccRedDone)(s),
+		Arg:   uint64(f),
 	})
+}
+
+// eccRedDone fills a fetched redundancy block (fetch slot a0) into the L2
+// and releases the reads waiting on it.
+type eccRedDone eccCache
+
+func (h *eccRedDone) OnEvent(at sim.Cycle, a0, _ uint64) {
+	s := (*eccCache)(h)
+	f := int32(a0)
+	tagged, dirty := s.pending.Take(f)
+	s.env.L2.Insert(at, tagged, dirty)
+	s.pending.Release(at, f, s.env)
 }
 
 // ReadMiss fetches the demanded sectors and waits for the redundancy block
@@ -74,19 +94,8 @@ func (s *eccCache) redReady(now sim.Cycle, lineAddr uint64, markDirty bool, read
 func (s *eccCache) ReadMiss(now sim.Cycle, lineAddr uint64, mask uint64, class mem.Class, done func(sim.Cycle)) {
 	env := s.env
 	geo := env.Map.Geometry()
-	finish := func(at sim.Cycle) { env.FinishDecode(at, lineAddr, done) }
-	join := joinN(env, now, sectorCount(geo, mask)+1, finish)
-	for sec := 0; sec < geo.SectorsPerLine(); sec++ {
-		if mask&(1<<sec) == 0 {
-			continue
-		}
-		env.DRAM.Submit(now, mem.Request{
-			Addr:  env.Map.DataPhys(lineAddr + uint64(sec*geo.SectorBytes)),
-			Bytes: geo.SectorBytes,
-			Class: class,
-			Done:  join,
-		})
-	}
+	join := env.DecodeJoin(now, sectorCount(geo, mask)+1, lineAddr, done)
+	env.readSectors(now, lineAddr, mask, class, join)
 	s.redReady(now, lineAddr, false, join)
 }
 
@@ -103,7 +112,7 @@ func (s *eccCache) Writeback(now sim.Cycle, lineAddr uint64, dirtyMask uint64) {
 			if dirtyMask&(1<<sec) == 0 {
 				continue
 			}
-			env.Stats.Inc("red_writebacks")
+			s.stRedWritebacks.Inc()
 			env.DRAM.Submit(now, mem.Request{
 				Addr:  base + uint64(sec*geo.SectorBytes),
 				Write: true,
@@ -113,18 +122,8 @@ func (s *eccCache) Writeback(now sim.Cycle, lineAddr uint64, dirtyMask uint64) {
 		}
 		return
 	}
-	for sec := 0; sec < geo.SectorsPerLine(); sec++ {
-		if dirtyMask&(1<<sec) == 0 {
-			continue
-		}
-		env.DRAM.Submit(now, mem.Request{
-			Addr:  env.Map.DataPhys(lineAddr + uint64(sec*geo.SectorBytes)),
-			Write: true,
-			Bytes: geo.SectorBytes,
-			Class: mem.Writeback,
-		})
-	}
-	s.redReady(now, lineAddr, true, func(sim.Cycle) {})
+	env.writeSectors(now, lineAddr, dirtyMask)
+	s.redReady(now, lineAddr, true, noJoin)
 }
 
 // NeedsRMWFetch is true under ECC.

@@ -3,6 +3,7 @@ package protect
 import (
 	"cachecraft/internal/mem"
 	"cachecraft/internal/sim"
+	"cachecraft/internal/stats"
 )
 
 // inlineNaive is inline ECC with no redundancy caching: the worst case the
@@ -12,11 +13,19 @@ import (
 // masking, and the block packs check bytes for eight sectors, so a partial
 // update must read the old block first).
 type inlineNaive struct {
-	env *Env
+	env        *Env
+	stRedReads stats.Handle
+	stRedRMW   stats.Handle
 }
 
 // NewInlineNaive builds the uncached inline-ECC baseline.
-func NewInlineNaive(env *Env) Scheme { return &inlineNaive{env: env} }
+func NewInlineNaive(env *Env) Scheme {
+	return &inlineNaive{
+		env:        env,
+		stRedReads: env.Stats.Handle("red_reads_dram"),
+		stRedRMW:   env.Stats.Handle("red_rmw"),
+	}
+}
 
 // Name identifies the scheme.
 func (s *inlineNaive) Name() string { return "inline-naive" }
@@ -25,30 +34,12 @@ func (s *inlineNaive) Name() string { return "inline-naive" }
 // block, and completes after ECC decode when both have arrived. A 128B
 // line sits inside one 256B+ granule, so one redundancy fetch suffices.
 func (s *inlineNaive) ReadMiss(now sim.Cycle, lineAddr uint64, mask uint64, class mem.Class, done func(sim.Cycle)) {
-	geo := s.env.Map.Geometry()
 	env := s.env
-	finish := func(at sim.Cycle) {
-		env.FinishDecode(at, lineAddr, done)
-	}
-	join := joinN(env, now, sectorCount(geo, mask)+1, finish)
-	for sec := 0; sec < geo.SectorsPerLine(); sec++ {
-		if mask&(1<<sec) == 0 {
-			continue
-		}
-		env.DRAM.Submit(now, mem.Request{
-			Addr:  env.Map.DataPhys(lineAddr + uint64(sec*geo.SectorBytes)),
-			Bytes: geo.SectorBytes,
-			Class: class,
-			Done:  join,
-		})
-	}
-	env.Stats.Inc("red_reads_dram")
-	env.DRAM.Submit(now, mem.Request{
-		Addr:  env.Map.RedundancyAddr(lineAddr),
-		Bytes: geo.RedBlockBytes,
-		Class: mem.Redundancy,
-		Done:  join,
-	})
+	geo := env.Map.Geometry()
+	join := env.DecodeJoin(now, sectorCount(geo, mask)+1, lineAddr, done)
+	env.readSectors(now, lineAddr, mask, class, join)
+	s.stRedReads.Inc()
+	env.Read(now, env.Map.RedundancyAddr(lineAddr), geo.RedBlockBytes, mem.Redundancy, join)
 }
 
 // Writeback writes the dirty data sectors and performs the redundancy
@@ -58,34 +49,9 @@ func (s *inlineNaive) ReadMiss(now sim.Cycle, lineAddr uint64, mask uint64, clas
 // 128B line can never cover a 256B granule, so it always reads.
 func (s *inlineNaive) Writeback(now sim.Cycle, lineAddr uint64, dirtyMask uint64) {
 	env := s.env
-	geo := env.Map.Geometry()
-	lineAddr &^= RedTag
-	for sec := 0; sec < geo.SectorsPerLine(); sec++ {
-		if dirtyMask&(1<<sec) == 0 {
-			continue
-		}
-		env.DRAM.Submit(now, mem.Request{
-			Addr:  env.Map.DataPhys(lineAddr + uint64(sec*geo.SectorBytes)),
-			Write: true,
-			Bytes: geo.SectorBytes,
-			Class: mem.Writeback,
-		})
-	}
-	redAddr := env.Map.RedundancyAddr(lineAddr)
-	env.Stats.Inc("red_rmw")
-	env.DRAM.Submit(now, mem.Request{
-		Addr:  redAddr,
-		Bytes: geo.RedBlockBytes,
-		Class: mem.RMW,
-		Done: func(at sim.Cycle) {
-			env.DRAM.Submit(at+env.DecodeLat, mem.Request{
-				Addr:  redAddr,
-				Write: true,
-				Bytes: geo.RedBlockBytes,
-				Class: mem.Redundancy,
-			})
-		},
-	})
+	env.writeSectors(now, lineAddr, dirtyMask)
+	s.stRedRMW.Inc()
+	env.RedundancyRMW(now, env.Map.RedundancyAddr(lineAddr&^RedTag))
 }
 
 // NeedsRMWFetch is true: partial-sector stores must read the old sector

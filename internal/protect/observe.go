@@ -27,8 +27,10 @@ type SchemeSink interface {
 // inner scheme's ReconstructionObserver capability so predictor feedback
 // keeps flowing when the scheme is CacheCraft.
 //
-// The wrapper allocates one completion closure per ReadMiss; only an
-// observed machine (audit or probes attached) ever installs it.
+// Only an observed machine (audit or probes attached) installs it. It
+// keeps a pool of in-flight reads, each slot with a completion bound once
+// when the slot is created, so an observed ReadMiss allocates nothing
+// once the pool is warm.
 func WrapObserved(s Scheme, sink SchemeSink) Scheme {
 	o := &observedScheme{inner: s, sink: sink}
 	if ro, ok := s.(ReconstructionObserver); ok {
@@ -40,16 +42,45 @@ func WrapObserved(s Scheme, sink SchemeSink) Scheme {
 type observedScheme struct {
 	inner Scheme
 	sink  SchemeSink
+	reads []observedRead
+	free  []int32
+}
+
+// observedRead is one forwarded ReadMiss awaiting its completion.
+type observedRead struct {
+	issued sim.Cycle
+	token  uint64
+	// done is the caller's completion; fire is this slot's own, handed to
+	// the inner scheme.
+	done func(sim.Cycle)
+	fire func(sim.Cycle)
 }
 
 func (o *observedScheme) Name() string { return o.inner.Name() }
 
 func (o *observedScheme) ReadMiss(now sim.Cycle, lineAddr uint64, mask uint64, class mem.Class, done func(sim.Cycle)) {
 	token := o.sink.ReadMissIssued(now, lineAddr, mask, class)
-	o.inner.ReadMiss(now, lineAddr, mask, class, func(at sim.Cycle) {
-		o.sink.ReadMissDone(now, at, token)
-		done(at)
-	})
+	var i int32
+	if k := len(o.free); k > 0 {
+		i = o.free[k-1]
+		o.free = o.free[:k-1]
+	} else {
+		i = int32(len(o.reads))
+		o.reads = append(o.reads, observedRead{fire: func(at sim.Cycle) { o.complete(at, i) }})
+	}
+	r := &o.reads[i]
+	r.issued, r.token, r.done = now, token, done
+	o.inner.ReadMiss(now, lineAddr, mask, class, r.fire)
+}
+
+// complete reports read i's completion and calls the caller's done, after
+// freeing the slot (done may issue the next read).
+func (o *observedScheme) complete(at sim.Cycle, i int32) {
+	r := o.reads[i]
+	o.reads[i].done = nil
+	o.free = append(o.free, i)
+	o.sink.ReadMissDone(r.issued, at, r.token)
+	r.done(at)
 }
 
 func (o *observedScheme) Writeback(now sim.Cycle, lineAddr uint64, dirtyMask uint64) {

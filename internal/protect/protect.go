@@ -72,6 +72,11 @@ type Env struct {
 	// ErrorPenalty is the extra correction latency per flagged decode
 	// (default 32 when zero and injection is enabled).
 	ErrorPenalty sim.Cycle
+
+	// joins is the pool of pending read completions (see join.go); the
+	// zero value is an empty pool.
+	joins    []join
+	joinFree []int32
 }
 
 // errorAt deterministically decides whether the decode of the granule at
@@ -90,37 +95,70 @@ func (e *Env) errorAt(lineAddr uint64) bool {
 	return h%1_000_000 < uint64(e.ErrorRatePPM)
 }
 
-// FinishDecode schedules done after the ECC decode of lineAddr's granule:
-// the base decode latency, plus — when error injection marks this granule
-// — a correction penalty and a scrub write of the corrected sector.
-func (e *Env) FinishDecode(now sim.Cycle, lineAddr uint64, done func(sim.Cycle)) {
-	lat := e.DecodeLat
-	if e.errorAt(lineAddr) {
-		penalty := e.ErrorPenalty
-		if penalty == 0 {
-			penalty = 32
+// Read submits a DRAM read of bytes at physical address addr whose
+// completion arrives at join.
+func (e *Env) Read(now sim.Cycle, addr uint64, bytes int, class mem.Class, join int32) {
+	e.DRAM.Submit(now, mem.Request{
+		Addr:  addr,
+		Bytes: bytes,
+		Class: class,
+		Done:  (*joinEvent)(e),
+		Arg:   uint64(uint32(join)),
+	})
+}
+
+// RedundancyRMW read-modify-writes the redundancy block at physical
+// address redAddr: it reads the old block and, DecodeLat after the read
+// returns, writes the merged block back.
+func (e *Env) RedundancyRMW(now sim.Cycle, redAddr uint64) {
+	e.DRAM.Submit(now, mem.Request{
+		Addr:  redAddr,
+		Bytes: e.Map.Geometry().RedBlockBytes,
+		Class: mem.RMW,
+		Done:  (*rmwEvent)(e),
+		Arg:   redAddr,
+	})
+}
+
+// rmwEvent writes back a redundancy block (a0) whose RMW read returned.
+type rmwEvent Env
+
+func (h *rmwEvent) OnEvent(at sim.Cycle, a0, _ uint64) {
+	e := (*Env)(h)
+	e.DRAM.Submit(at+e.DecodeLat, mem.Request{
+		Addr:  a0,
+		Write: true,
+		Bytes: e.Map.Geometry().RedBlockBytes,
+		Class: mem.Redundancy,
+	})
+}
+
+// readSectors reads the sectors of the line at lineAddr that mask
+// selects, each arriving at join.
+func (e *Env) readSectors(now sim.Cycle, lineAddr, mask uint64, class mem.Class, join int32) {
+	geo := e.Map.Geometry()
+	for sec := 0; sec < geo.SectorsPerLine(); sec++ {
+		if mask&(1<<sec) != 0 {
+			e.Read(now, e.Map.DataPhys(lineAddr+uint64(sec*geo.SectorBytes)), geo.SectorBytes, class, join)
 		}
-		lat += penalty
-		e.Stats.Inc("corrected_errors")
-		e.Stats.Inc("scrub_writes")
-		geo := e.Map.Geometry()
-		e.DRAM.Submit(now, mem.Request{
-			Addr:  e.Map.DataPhys(e.Map.GranuleBase(lineAddr)),
-			Write: true,
-			Bytes: geo.SectorBytes,
-			Class: mem.Writeback,
-		})
 	}
-	if lat == 0 {
-		// A zero-latency decode completes inline. Routing it through the
-		// event queue would not cost cycles, but it would reorder the
-		// completion behind other events already scheduled for this cycle,
-		// perturbing DRAM arbitration — a zero-cost decode must be a true
-		// no-op, indistinguishable from no decode stage at all.
-		done(now)
-		return
+}
+
+// writeSectors writes back the sectors of the data line at lineAddr
+// (RedTag stripped) that mask selects.
+func (e *Env) writeSectors(now sim.Cycle, lineAddr, mask uint64) {
+	geo := e.Map.Geometry()
+	base := lineAddr &^ RedTag
+	for sec := 0; sec < geo.SectorsPerLine(); sec++ {
+		if mask&(1<<sec) != 0 {
+			e.DRAM.Submit(now, mem.Request{
+				Addr:  e.Map.DataPhys(base + uint64(sec*geo.SectorBytes)),
+				Write: true,
+				Bytes: geo.SectorBytes,
+				Class: mem.Writeback,
+			})
+		}
 	}
-	e.Eng.At(now+lat, done)
 }
 
 // Scheme is a memory-protection controller. Line addresses are logical
@@ -130,8 +168,10 @@ type Scheme interface {
 	Name() string
 	// ReadMiss fetches the sectors in mask of the 128B line at lineAddr.
 	// class is mem.Demand for ordinary misses or mem.RMW for
-	// fetch-before-partial-write. done runs once, when the requested
-	// sectors are ready to fill (after ECC verification).
+	// fetch-before-partial-write. done runs exactly once, when the
+	// requested sectors are ready to fill (after ECC verification). The
+	// scheme must not keep done after calling it: the L2 bank hands out
+	// the same func value again for a later miss.
 	ReadMiss(now sim.Cycle, lineAddr uint64, mask uint64, class mem.Class, done func(sim.Cycle))
 	// Writeback retires dirty sectors of an evicted line (fire and
 	// forget). Redundancy lines carry RedTag.
@@ -147,37 +187,7 @@ type Scheme interface {
 // Factory builds a scheme against a machine environment.
 type Factory func(env *Env) Scheme
 
-// sectorsOf enumerates the sector addresses selected by mask within a
-// line, using the mapper's geometry. It allocates; hot paths iterate the
-// mask bits directly and size join counters with sectorCount.
-func sectorsOf(geo layout.Geometry, lineAddr uint64, mask uint64) []uint64 {
-	out := make([]uint64, 0, geo.SectorsPerLine())
-	for s := 0; s < geo.SectorsPerLine(); s++ {
-		if mask&(1<<s) != 0 {
-			out = append(out, lineAddr+uint64(s*geo.SectorBytes))
-		}
-	}
-	return out
-}
-
-// sectorCount reports how many in-line sectors mask selects — the length
-// sectorsOf would return, without materializing the slice.
+// sectorCount reports how many in-line sectors mask selects.
 func sectorCount(geo layout.Geometry, mask uint64) int {
 	return bits.OnesCount64(mask & (uint64(1)<<geo.SectorsPerLine() - 1))
-}
-
-// joinN invokes done once after n completions have been observed; if n is
-// zero it fires immediately at now.
-func joinN(env *Env, now sim.Cycle, n int, done func(sim.Cycle)) func(sim.Cycle) {
-	if n == 0 {
-		env.Eng.At(now, done)
-		return func(sim.Cycle) {}
-	}
-	remaining := n
-	return func(at sim.Cycle) {
-		remaining--
-		if remaining == 0 {
-			done(at)
-		}
-	}
 }

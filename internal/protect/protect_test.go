@@ -251,21 +251,66 @@ func TestSchemeNames(t *testing.T) {
 	}
 }
 
+// TestJoinNZero: a join of zero arrivals completes from an event posted
+// for now, never inline in the call that opens it.
 func TestJoinNZero(t *testing.T) {
 	env, eng, _ := testEnv(t)
+	var ranAt sim.Cycle
 	ran := false
-	joinN(env, 5, 0, func(sim.Cycle) { ran = true })
+	env.Join(5, 0, func(at sim.Cycle) { ran, ranAt = true, at })
+	if ran || eng.Pending() != 1 {
+		t.Fatalf("zero-arrival join: ran inline = %v, pending = %d, want a posted event", ran, eng.Pending())
+	}
 	drain(eng)
-	if !ran {
-		t.Fatal("joinN(0) must fire immediately")
+	if !ran || ranAt != 5 {
+		t.Fatalf("zero-arrival join ran = %v at %d, want at 5", ran, ranAt)
 	}
 }
 
-func TestSectorsOf(t *testing.T) {
-	geo := layout.DefaultGeometry()
-	got := sectorsOf(geo, 256, 0b1001)
-	if len(got) != 2 || got[0] != 256 || got[1] != 256+96 {
-		t.Fatalf("sectorsOf = %v", got)
+// TestJoinZeroLatencyDecodeFiresInline: with no decode latency the last
+// arrival calls done itself, with nothing left on the event queue.
+func TestJoinZeroLatencyDecodeFiresInline(t *testing.T) {
+	env, eng, _ := testEnv(t)
+	env.DecodeLat = 0
+	ran := false
+	id := env.DecodeJoin(10, 2, 0, func(sim.Cycle) { ran = true })
+	env.arrive(10, id)
+	if ran {
+		t.Fatal("join fired before its last arrival")
+	}
+	env.arrive(10, id)
+	if !ran || eng.Pending() != 0 {
+		t.Fatalf("zero-latency decode: ran = %v, pending = %d, want inline", ran, eng.Pending())
+	}
+}
+
+// TestFetchTableReleasesWaitersInOrder: waiters get their arrivals in the
+// order they started waiting, and a released address can start afresh.
+func TestFetchTableReleasesWaitersInOrder(t *testing.T) {
+	env, eng, _ := testEnv(t)
+	var ft FetchTable
+	var order []int
+	f := ft.Start(64, false)
+	for i := 0; i < 3; i++ {
+		i := i
+		ft.Wait(f, env.Join(0, 1, func(sim.Cycle) { order = append(order, i) }))
+	}
+	ft.Wait(f, noJoin)
+	if g, ok := ft.Find(64); !ok || g != f || !ft.Waiting(f) {
+		t.Fatal("in-flight fetch not found")
+	}
+	if addr, flag := ft.Take(f); addr != 64 || flag {
+		t.Fatalf("Take = %#x, %v", addr, flag)
+	}
+	if _, ok := ft.Find(64); ok {
+		t.Fatal("taken fetch still indexed")
+	}
+	ft.Release(eng.Now(), f, env)
+	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
+		t.Fatalf("release order = %v", order)
+	}
+	if g := ft.Start(64, true); g != f {
+		t.Fatalf("released slot not reused: got %d, want %d", g, f)
 	}
 }
 
@@ -299,12 +344,14 @@ func TestErrorInjectionDeterministicAndRateBounded(t *testing.T) {
 	}
 }
 
+// TestFinishDecodeAddsPenaltyAndScrub: a join's decode of a flagged
+// granule adds the correction penalty and issues the scrub write.
 func TestFinishDecodeAddsPenaltyAndScrub(t *testing.T) {
 	env, eng, _ := testEnv(t)
 	env.ErrorRatePPM = 1_000_000 // every granule errors
 	env.ErrorPenalty = 100
 	var doneAt sim.Cycle
-	env.FinishDecode(10, 0, func(at sim.Cycle) { doneAt = at })
+	env.arrive(10, env.DecodeJoin(10, 1, 0, func(at sim.Cycle) { doneAt = at }))
 	drain(eng)
 	if doneAt != 10+env.DecodeLat+100 {
 		t.Fatalf("done at %d, want %d", doneAt, 10+env.DecodeLat+100)
@@ -317,10 +364,11 @@ func TestFinishDecodeAddsPenaltyAndScrub(t *testing.T) {
 	}
 }
 
+// TestFinishDecodeCleanPath: a clean granule's decode costs DecodeLat.
 func TestFinishDecodeCleanPath(t *testing.T) {
 	env, eng, _ := testEnv(t)
 	var doneAt sim.Cycle
-	env.FinishDecode(10, 0, func(at sim.Cycle) { doneAt = at })
+	env.arrive(10, env.DecodeJoin(10, 1, 0, func(at sim.Cycle) { doneAt = at }))
 	drain(eng)
 	if doneAt != 10+env.DecodeLat {
 		t.Fatalf("done at %d", doneAt)

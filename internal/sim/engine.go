@@ -21,15 +21,11 @@ import "math/bits"
 // Cycle is a point in simulated time, measured in core clock cycles.
 type Cycle uint64
 
-// Event is a callback scheduled to run at a fixed cycle.
-type Event func(now Cycle)
-
-// Handler is the closure-free way to schedule work: Post stores the handler
-// interface plus two integer arguments in a pooled event record, so hot
-// paths (token delivery, bank wakeups, issue loops) schedule without
-// allocating a closure per event. Implementations are typically defined on
-// a named pointer type of an existing struct, so posting reuses the
-// struct's existing allocation.
+// Handler is the engine's one kind of event: Post stores the handler
+// interface plus two integer arguments in a pooled event record, so
+// scheduling allocates nothing, not even a closure. Implementations are
+// typically defined on a named pointer type of an existing struct, so
+// posting reuses the struct's existing allocation.
 type Handler interface {
 	// OnEvent runs at the scheduled cycle with the arguments given to Post.
 	OnEvent(now Cycle, a0, a1 uint64)
@@ -53,14 +49,13 @@ type record struct {
 	seq  uint64
 	a0   uint64
 	a1   uint64
-	fn   Event
 	h    Handler
 	next int32
 }
 
-// Engine owns simulated time. Components schedule callbacks with At/After
-// (closures) or Post/PostAfter (pooled handler records) and the engine runs
-// them in deterministic (cycle, seq) order.
+// Engine owns simulated time. Components schedule handlers with Post
+// (pooled records) and the engine runs them in deterministic
+// (cycle, seq) order.
 type Engine struct {
 	now     Cycle
 	seq     uint64
@@ -120,28 +115,10 @@ func (e *Engine) alloc() int32 {
 	return idx
 }
 
-// At schedules fn to run at cycle at. Scheduling in the past is treated as
-// scheduling for the current cycle (the event still runs after all events
-// already queued for that cycle, preserving causality).
-func (e *Engine) At(at Cycle, fn Event) {
-	if at < e.now {
-		at = e.now
-	}
-	e.seq++
-	idx := e.alloc()
-	r := &e.slab[idx]
-	r.at, r.seq, r.fn, r.h = at, e.seq, fn, nil
-	e.enqueue(idx, at)
-}
-
-// After schedules fn to run delay cycles from now.
-func (e *Engine) After(delay Cycle, fn Event) {
-	e.At(e.now+delay, fn)
-}
-
 // Post schedules h.OnEvent(at, a0, a1) without allocating: the handler and
-// its arguments are stored in a pooled record. Past cycles clamp to now,
-// exactly as in At.
+// its arguments are stored in a pooled record. Scheduling in the past is
+// treated as scheduling for the current cycle (the event still runs after
+// all events already queued for that cycle, preserving causality).
 func (e *Engine) Post(at Cycle, h Handler, a0, a1 uint64) {
 	if at < e.now {
 		at = e.now
@@ -149,13 +126,8 @@ func (e *Engine) Post(at Cycle, h Handler, a0, a1 uint64) {
 	e.seq++
 	idx := e.alloc()
 	r := &e.slab[idx]
-	r.at, r.seq, r.a0, r.a1, r.fn, r.h = at, e.seq, a0, a1, nil, h
+	r.at, r.seq, r.a0, r.a1, r.h = at, e.seq, a0, a1, h
 	e.enqueue(idx, at)
-}
-
-// PostAfter schedules h.OnEvent delay cycles from now.
-func (e *Engine) PostAfter(delay Cycle, h Handler, a0, a1 uint64) {
-	e.Post(e.now+delay, h, a0, a1)
 }
 
 // enqueue routes a filled record to its bucket or to the overflow heap.
@@ -248,8 +220,8 @@ func (e *Engine) Step() bool {
 		e.bucketTail[slot] = 0
 		e.occ[slot>>6] &^= 1 << uint(slot&63)
 	}
-	at, fn, h, a0, a1 := r.at, r.fn, r.h, r.a0, r.a1
-	r.fn, r.h = nil, nil
+	at, h, a0, a1 := r.at, r.h, r.a0, r.a1
+	r.h = nil
 	r.next = e.free
 	e.free = idx
 	e.pending--
@@ -257,11 +229,7 @@ func (e *Engine) Step() bool {
 		e.stepHook(at)
 	}
 	e.now = at
-	if h != nil {
-		h.OnEvent(at, a0, a1)
-	} else {
-		fn(at)
-	}
+	h.OnEvent(at, a0, a1)
 	return true
 }
 

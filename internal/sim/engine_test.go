@@ -5,12 +5,21 @@ import (
 	"testing/quick"
 )
 
+// eventFunc adapts a closure to Handler for tests that schedule ad hoc
+// callbacks; the engine itself schedules nothing but handlers.
+type eventFunc func(now Cycle)
+
+func (f eventFunc) OnEvent(now Cycle, _, _ uint64) { f(now) }
+
+// at posts fn for cycle c through the adapter.
+func at(e *Engine, c Cycle, fn func(Cycle)) { e.Post(c, eventFunc(fn), 0, 0) }
+
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.At(30, func(Cycle) { order = append(order, 3) })
-	e.At(10, func(Cycle) { order = append(order, 1) })
-	e.At(20, func(Cycle) { order = append(order, 2) })
+	at(e, 30, func(Cycle) { order = append(order, 3) })
+	at(e, 10, func(Cycle) { order = append(order, 1) })
+	at(e, 20, func(Cycle) { order = append(order, 2) })
 	e.Run(100)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("events ran out of order: %v", order)
@@ -25,7 +34,7 @@ func TestEngineBreaksTiesInScheduleOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5, func(Cycle) { order = append(order, i) })
+		at(e, 5, func(Cycle) { order = append(order, i) })
 	}
 	e.Run(10)
 	for i, v := range order {
@@ -38,8 +47,8 @@ func TestEngineBreaksTiesInScheduleOrder(t *testing.T) {
 func TestEnginePastSchedulingClampsToNow(t *testing.T) {
 	e := NewEngine()
 	var ranAt Cycle
-	e.At(50, func(now Cycle) {
-		e.At(1, func(now Cycle) { ranAt = now }) // "1" is in the past
+	at(e, 50, func(now Cycle) {
+		at(e, 1, func(now Cycle) { ranAt = now }) // "1" is in the past
 	})
 	e.Run(100)
 	if ranAt != 50 {
@@ -50,7 +59,7 @@ func TestEnginePastSchedulingClampsToNow(t *testing.T) {
 func TestEngineRunHonorsLimit(t *testing.T) {
 	e := NewEngine()
 	ran := false
-	e.At(1000, func(Cycle) { ran = true })
+	at(e, 1000, func(Cycle) { ran = true })
 	e.Run(100)
 	if ran {
 		t.Fatal("event beyond the limit must not run")
@@ -67,7 +76,7 @@ func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 1; i <= 5; i++ {
-		e.At(Cycle(i*10), func(Cycle) { count++ })
+		at(e, Cycle(i*10), func(Cycle) { count++ })
 	}
 	ok := e.RunUntil(1000, func() bool { return count >= 3 })
 	if !ok {
@@ -91,10 +100,10 @@ func TestEngineNestedScheduling(t *testing.T) {
 	recurse = func(now Cycle) {
 		depth++
 		if depth < 5 {
-			e.After(7, recurse)
+			at(e, e.Now()+7, recurse)
 		}
 	}
-	e.At(0, recurse)
+	at(e, 0, recurse)
 	e.Run(1000)
 	if depth != 5 {
 		t.Fatalf("depth = %d, want 5", depth)
@@ -204,7 +213,7 @@ func TestStepAndPending(t *testing.T) {
 	if e.Step() {
 		t.Fatal("Step on empty queue must report false")
 	}
-	e.After(5, func(Cycle) {})
+	at(e, e.Now()+5, func(Cycle) {})
 	if e.Pending() != 1 {
 		t.Fatalf("pending = %d", e.Pending())
 	}
@@ -228,7 +237,7 @@ func TestEventOrderingProperty(t *testing.T) {
 		var ran []stamp
 		for i, tm := range times {
 			i, tm := i, tm
-			e.At(Cycle(tm), func(now Cycle) {
+			at(e, Cycle(tm), func(now Cycle) {
 				ran = append(ran, stamp{at: now, seq: i})
 			})
 		}
@@ -260,8 +269,8 @@ func TestEventOrderingProperty(t *testing.T) {
 func TestEngineRunSemantics(t *testing.T) {
 	// Park: an event beyond the limit leaves now == limit.
 	e := NewEngine()
-	e.At(30, func(Cycle) {})
-	e.At(500, func(Cycle) {})
+	at(e, 30, func(Cycle) {})
+	at(e, 500, func(Cycle) {})
 	if got := e.Run(100); got != 100 {
 		t.Fatalf("parked Run returned %d, want limit 100", got)
 	}

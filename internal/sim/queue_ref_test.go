@@ -13,7 +13,7 @@ import (
 type refEvent struct {
 	at  Cycle
 	seq uint64
-	fn  Event
+	fn  func(now Cycle)
 }
 
 type refHeap []refEvent
@@ -35,7 +35,7 @@ type refEngine struct {
 	events refHeap
 }
 
-func (e *refEngine) At(at Cycle, fn Event) {
+func (e *refEngine) At(at Cycle, fn func(now Cycle)) {
 	if at < e.now {
 		at = e.now
 	}
@@ -61,30 +61,46 @@ type execRecord struct {
 
 // spawnPlan derives, purely from an event's id and the scenario seed, the
 // offsets of the events it schedules when it runs — so both engines make
-// identical scheduling decisions.
+// identical scheduling decisions. It draws from a splitmix64 stream seeded
+// by mixRef(seed^id), which costs a few multiplies per draw where seeding
+// a math/rand source per event would cost a table fill.
 func spawnPlan(seed, id uint64) []int64 {
-	rng := rand.New(rand.NewSource(int64(mixRef(seed ^ id))))
-	if rng.Intn(3) == 0 {
+	rng := splitmix(mixRef(seed ^ id))
+	if rng.intn(3) == 0 {
 		return nil
 	}
-	n := 1 + rng.Intn(3)
+	n := 1 + rng.intn(3)
 	out := make([]int64, n)
 	for i := range out {
-		switch rng.Intn(5) {
+		switch rng.intn(5) {
 		case 0:
 			out[i] = 0 // same-cycle tie
 		case 1:
-			out[i] = -int64(1 + rng.Intn(20)) // past: clamps to now
+			out[i] = -int64(1 + rng.intn(20)) // past: clamps to now
 		case 2:
-			out[i] = int64(1 + rng.Intn(64)) // near future
+			out[i] = int64(1 + rng.intn(64)) // near future
 		case 3:
-			out[i] = int64(1 + rng.Intn(wheelSize-1)) // anywhere in the wheel
+			out[i] = int64(1 + rng.intn(wheelSize-1)) // anywhere in the wheel
 		default:
-			out[i] = int64(wheelSize + rng.Intn(10*wheelSize)) // overflow heap
+			out[i] = int64(wheelSize + rng.intn(10*wheelSize)) // overflow heap
 		}
 	}
 	return out
 }
+
+// splitmix is a splitmix64 stream: the state steps by the golden-ratio
+// increment and each draw is the state through mixRef, the splitmix64
+// finalizer.
+type splitmix uint64
+
+func (s *splitmix) next() uint64 {
+	*s += 0x9e3779b97f4a7c15
+	return mixRef(uint64(*s))
+}
+
+// intn draws from [0, n); the modulo bias is far below anything the
+// schedules depend on.
+func (s *splitmix) intn(n int) int { return int(s.next() % uint64(n)) }
 
 func mixRef(x uint64) uint64 {
 	x ^= x >> 30
@@ -95,31 +111,19 @@ func mixRef(x uint64) uint64 {
 	return x
 }
 
-// postLogger exercises the Handler/Post path on the wheel engine: a0 is the
-// event id, and the handler spawns that id's plan just like the closures.
-type postLogger struct {
-	t *wheelDriver
-}
-
-func (p *postLogger) OnEvent(now Cycle, a0, _ uint64) { p.t.ran(now, a0) }
-
-// wheelDriver runs a scenario on the timing-wheel engine, alternating the
-// closure (At) and pooled (Post) scheduling paths by event-id parity.
+// wheelDriver runs a scenario on the timing-wheel engine. It posts itself
+// as the handler with the event id in a0, and spawns that id's plan just
+// like the reference's closures.
 type wheelDriver struct {
 	eng    *Engine
 	seed   uint64
 	nextID uint64
 	log    []execRecord
-	ph     *postLogger
 }
 
-func (d *wheelDriver) schedule(at Cycle, id uint64) {
-	if id%2 == 0 {
-		d.eng.Post(at, d.ph, id, 0)
-		return
-	}
-	d.eng.At(at, func(now Cycle) { d.ran(now, id) })
-}
+func (d *wheelDriver) schedule(at Cycle, id uint64) { d.eng.Post(at, d, id, 0) }
+
+func (d *wheelDriver) OnEvent(now Cycle, a0, _ uint64) { d.ran(now, a0) }
 
 func (d *wheelDriver) ran(now Cycle, id uint64) {
 	d.log = append(d.log, execRecord{at: now, id: id})
@@ -152,12 +156,10 @@ func (d *refDriver) ran(now Cycle, id uint64) {
 // TestQueueOrderMatchesReferenceHeap drives randomized self-expanding
 // schedules — same-cycle ties, past-cycle clamps, wheel-window inserts, and
 // far-future overflow events — through both queues and requires identical
-// execution order. The wheel engine additionally mixes the Post path in, so
-// closure and pooled events are checked against each other too.
+// execution order.
 func TestQueueOrderMatchesReferenceHeap(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		wd := &wheelDriver{eng: NewEngine(), seed: seed}
-		wd.ph = &postLogger{t: wd}
 		rd := &refDriver{eng: &refEngine{}, seed: seed}
 
 		// Seed both with the same initial batch, including duplicate cycles.
@@ -188,17 +190,23 @@ func TestQueueOrderMatchesReferenceHeap(t *testing.T) {
 	}
 }
 
+// execLog records every execution it handles, with the event id in a0.
+type execLog struct{ log []execRecord }
+
+func (l *execLog) OnEvent(now Cycle, a0, _ uint64) { l.log = append(l.log, execRecord{now, a0}) }
+
 // TestQueueOrderAcrossRunPark checks that parking at a limit (which advances
 // now without executing anything) does not perturb ordering relative to the
 // reference, including overflow events migrating across the park.
 func TestQueueOrderAcrossRunPark(t *testing.T) {
 	e := NewEngine()
 	r := &refEngine{}
-	var elog, rlog []execRecord
+	el := &execLog{}
+	var rlog []execRecord
 	for i := uint64(0); i < 200; i++ {
 		at := Cycle((i * 7919) % (5 * wheelSize))
 		id := i
-		e.At(at, func(now Cycle) { elog = append(elog, execRecord{now, id}) })
+		e.Post(at, el, id, 0)
 		r.At(at, func(now Cycle) { rlog = append(rlog, execRecord{now, id}) })
 	}
 	// Park repeatedly at limits that land between, on, and past events.
@@ -209,13 +217,14 @@ func TestQueueOrderAcrossRunPark(t *testing.T) {
 		}
 		// Schedule more work relative to the parked position.
 		id := uint64(1000) + uint64(limit)
-		e.At(e.Now()+5, func(now Cycle) { elog = append(elog, execRecord{now, id}) })
+		e.Post(e.Now()+5, el, id, 0)
 		r.now = e.Now()
 		r.At(r.now+5, func(now Cycle) { rlog = append(rlog, execRecord{now, id}) })
 	}
 	e.Run(1 << 40)
 	for r.Step() {
 	}
+	elog := el.log
 	if len(elog) != len(rlog) {
 		t.Fatalf("wheel ran %d events, reference ran %d", len(elog), len(rlog))
 	}

@@ -37,20 +37,6 @@ func BenchmarkEngineSchedulePost(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineScheduleClosure measures the legacy closure path (At) for
-// comparison; the closure itself allocates even though the queue record is
-// pooled.
-func BenchmarkEngineScheduleClosure(b *testing.B) {
-	eng := sim.NewEngine()
-	var n uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.At(eng.Now()+sim.Cycle(i%5), func(sim.Cycle) { n++ })
-		eng.Step()
-	}
-}
-
 func BenchmarkSECDEDEncode32B(b *testing.B) {
 	codec, err := ecc.NewSECDEDSector(32, 64)
 	if err != nil {
@@ -230,20 +216,19 @@ func BenchmarkDRAMDeepQueue(b *testing.B) {
 	eng := sim.NewEngine()
 	d := dram.New(eng, dram.DefaultConfig())
 	rng := rand.New(rand.NewSource(2))
-	outstanding := 0
-	done := func(sim.Cycle) { outstanding-- }
+	done := &retireCounter{}
 	submit := func() {
 		addr := uint64(rng.Intn(1<<26)) &^ 31
 		d.Submit(eng.Now(), mem.Request{Addr: addr, Bytes: 32, Class: mem.Demand, Done: done})
-		outstanding++
+		done.outstanding++
 	}
-	for outstanding < depth {
+	for done.outstanding < depth {
 		submit()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for outstanding >= depth {
+		for done.outstanding >= depth {
 			eng.Step()
 		}
 		submit()
@@ -251,6 +236,12 @@ func BenchmarkDRAMDeepQueue(b *testing.B) {
 	b.StopTimer()
 	eng.Run(1 << 62)
 }
+
+// retireCounter is a DRAM completion handler that counts requests still
+// outstanding.
+type retireCounter struct{ outstanding int }
+
+func (r *retireCounter) OnEvent(sim.Cycle, uint64, uint64) { r.outstanding-- }
 
 // BenchmarkL2BankMissFill drives one default-config L2 bank with line
 // misses scattered over the footprint, 32 in flight: each op allocates an
